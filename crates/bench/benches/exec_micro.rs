@@ -1,5 +1,5 @@
 //! Microbenchmarks for the native executor (`tss-exec`): renamer decode
-//! throughput and threaded replay, tracked so scheduler or renamer
+//! throughput and the threaded streamed run, tracked so scheduler or renamer
 //! regressions show up in `cargo bench` like simulator regressions do
 //! in `engine_core`.
 
@@ -20,10 +20,9 @@ fn decode_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-fn replay_throughput(c: &mut Criterion) {
+fn run_throughput(c: &mut Criterion) {
     let trace = Benchmark::Cholesky.trace(Scale::Small, 1);
-    let graph = Renamer::new().decode(&trace);
-    let mut g = c.benchmark_group("exec_replay_noop");
+    let mut g = c.benchmark_group("exec_run_noop");
     g.throughput(Throughput::Elements(trace.len() as u64));
     for threads in [1usize, 4] {
         let cfg = ExecConfig {
@@ -33,14 +32,6 @@ fn replay_throughput(c: &mut Criterion) {
             ..ExecConfig::default()
         };
         let exec = Executor::new(cfg);
-        // Pure scheduler throughput: the graph is decoded once, outside
-        // the timed loop (ISSUE 3 caught a per-run arena build here;
-        // ISSUE 4 also hoists the decode).
-        g.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| {
-                exec.replay(&trace, &graph, std::time::Duration::ZERO).expect("replay failed")
-            })
-        });
         // Pipelined end-to-end: streaming decode inside the measurement.
         g.bench_function(format!("streamed_threads_{threads}"), |b| {
             b.iter(|| exec.run(&trace).expect("run failed"))
@@ -49,5 +40,5 @@ fn replay_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(exec_micro, decode_throughput, replay_throughput);
+criterion_group!(exec_micro, decode_throughput, run_throughput);
 criterion_main!(exec_micro);

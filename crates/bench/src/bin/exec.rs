@@ -1,60 +1,50 @@
-//! Native-executor harness: replay all nine Table-I benchmarks on real
+//! Native-executor harness: run all nine Table-I benchmarks on real
 //! threads (`tss-exec`), oracle-validate every completion log, and
-//! record decode + replay + pipelined-streaming throughput in
-//! `BENCH_exec.json` (DESIGN.md §7–§8).
+//! record decode + pipelined-streaming throughput in `BENCH_exec.json`
+//! (DESIGN.md §7–§8).
 //!
-//! Three numbers per benchmark:
+//! Two numbers per benchmark:
 //!
 //! - **decode** — the software renamer's one-pass, single-thread decode
 //!   rate in ns/task (best of [`DECODE_REPS`] passes). This is the
 //!   native analog of the paper's Section-II measurement that a
 //!   software task decoder costs ~700 ns/task — the ceiling the whole
 //!   hardware pipeline exists to break.
-//! - **replay** — two-phase (decode first, then execute) threaded
-//!   replay throughput in tasks/sec with the selected payload: the
-//!   scheduler-only number, comparable across PRs.
 //! - **stream** — the pipelined end-to-end run: decode shard threads
 //!   rename window by window *while* workers execute earlier windows.
 //!   Reported as end-to-end tasks/sec plus `decode_overlap_pct` (share
 //!   of the run during which decode was still streaming — the paper's
 //!   "decode must not serialize the backend" claim, at native speed).
 //!
-//! Every replay's completion log is checked against the `DepGraph`
+//! Every run's completion log is checked against the `DepGraph`
 //! oracle; any violation exits nonzero (CI gates on this, not timing).
 //! Chaos runs (DESIGN.md §11) additionally gate on the accounting
-//! identity `completed + failed + poisoned = tasks` and on the replay
-//! and streamed runs agreeing on the (seed-deterministic) failure sets.
+//! identity `completed + failed + poisoned = tasks`.
 //!
 //! Flags: `--scale small|paper|large`, `--threads N`, `--payload
-//! noop|spin|memcpy|faulty|mixed`, `--policy lifo|fifo|cost|locality`
-//! (DESIGN.md §13; `--classes N`/`--domains N` shape the locality
-//! policy only — naming them with any other policy exits 2),
-//! `--spin-scale F`, `--seed N`, `--window N`,
-//! `--decode-shards N`, `--no-renaming`, `--json`, `--out PATH`, plus
-//! the failure domain: `--fault-rate F` (0..=1), `--fault-seed N`,
-//! `--failure-policy fail-fast|retry|quarantine`, `--retry-max N`,
-//! `--retry-backoff-ms F`, `--task-deadline-ms N`, `--run-deadline-ms
-//! N`, `--kill-worker W`. Bad flag values *and* bad flag combinations
-//! print a clear error naming the flags and exit 2 (they never panic);
-//! a structured run failure ([`ExecError`]) also exits 2.
+//! noop|spin|memcpy|faulty|mixed`, `--spin-scale F`, `--seed N`,
+//! `--window N`, `--decode-shards N`, `--no-renaming`, `--json`,
+//! `--out PATH`, plus the failure domain: `--fault-rate F` (0..=1),
+//! `--fault-seed N`, `--failure-policy fail-fast|retry|quarantine`,
+//! `--retry-max N`, `--retry-backoff-ms F`, `--task-deadline-ms N`,
+//! `--run-deadline-ms N`, `--kill-at-ticket K`. Bad flag values *and*
+//! bad flag combinations print a clear error naming the flags and exit
+//! 2 (they never panic); a structured run failure ([`ExecError`]) also
+//! exits 2.
 //!
 //! Observability (DESIGN.md §12, needs a `--features obs` build —
-//! rejected up front otherwise): `--trace-out PATH` writes the
-//! streaming runs as Chrome `trace_event` JSON (one process per
-//! benchmark, one track per worker + decode shard); `--histogram`
-//! prints the sampled per-task latency quantiles. An obs build also
-//! adds `latency_p50/p99/p999_ns` and `queue_p50/p99/p999_ns` (from
-//! the replay runs) to every JSON row and to `totals`.
+//! rejected up front otherwise): `--trace-out PATH` writes the runs as
+//! Chrome `trace_event` JSON (one process per benchmark, one track per
+//! worker + decode shard); `--histogram` prints the sampled per-task
+//! latency quantiles. An obs build also adds `latency_p50/p99/p999_ns`
+//! and `queue_p50/p99/p999_ns` to every JSON row and to `totals`.
 
 use std::time::{Duration, Instant};
 
 use tss_core::report::{fmt_count_pct, fmt_f};
 use tss_core::Table;
 use tss_exec::fault::install_quiet_hook;
-use tss_exec::{
-    ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode, Renamer, SchedKind,
-    SCHED_MENU,
-};
+use tss_exec::{ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, PayloadMode, Renamer};
 use tss_trace::DepGraph;
 use tss_workloads::{Benchmark, Scale};
 
@@ -69,9 +59,6 @@ struct Args {
     scale: Scale,
     threads: usize,
     payload: PayloadMode,
-    sched: SchedKind,
-    classes: usize,
-    domains: usize,
     seed: u64,
     window: usize,
     decode_shards: usize,
@@ -84,7 +71,7 @@ struct Args {
     fault_seed: u64,
     task_deadline: Option<Duration>,
     run_deadline: Option<Duration>,
-    kill_worker: Option<usize>,
+    kill_at_ticket: Option<usize>,
     // --- observability (DESIGN.md §12) ---
     trace_out: Option<String>,
     histogram: bool,
@@ -110,9 +97,6 @@ fn parse_args() -> Args {
         scale: Scale::Small,
         threads: 4,
         payload: PayloadMode::Noop,
-        sched: SchedKind::Lifo,
-        classes: 2,
-        domains: 1,
         seed: 42,
         window: 1024,
         decode_shards: 1,
@@ -124,14 +108,12 @@ fn parse_args() -> Args {
         fault_seed: 7,
         task_deadline: None,
         run_deadline: None,
-        kill_worker: None,
+        kill_at_ticket: None,
         trace_out: None,
         histogram: false,
     };
     let mut spin_scale = 1.0f64;
     let mut payload_name = String::from("noop");
-    let mut classes_flag: Option<usize> = None;
-    let mut domains_flag: Option<usize> = None;
     let mut fault_rate: Option<f64> = None;
     let mut policy_name: Option<String> = None;
     let mut retry_max: Option<u32> = None;
@@ -164,25 +146,6 @@ fn parse_args() -> Args {
                 }
             }
             "--payload" => payload_name = want(args.next(), "--payload"),
-            "--policy" => {
-                let v = want(args.next(), "--policy");
-                out.sched = SchedKind::parse(&v)
-                    .unwrap_or_else(|| fail(format!("unknown policy '{v}' ({SCHED_MENU})")));
-            }
-            "--classes" => {
-                let n: usize = parse_num(&want(args.next(), "--classes"), "--classes");
-                if n == 0 {
-                    fail("--classes must be at least 1");
-                }
-                classes_flag = Some(n);
-            }
-            "--domains" => {
-                let n: usize = parse_num(&want(args.next(), "--domains"), "--domains");
-                if n == 0 {
-                    fail("--domains must be at least 1");
-                }
-                domains_flag = Some(n);
-            }
             "--spin-scale" => {
                 spin_scale = parse_num(&want(args.next(), "--spin-scale"), "--spin-scale");
             }
@@ -231,9 +194,9 @@ fn parse_args() -> Args {
                 }
                 out.run_deadline = Some(Duration::from_millis(ms));
             }
-            "--kill-worker" => {
-                out.kill_worker =
-                    Some(parse_num(&want(args.next(), "--kill-worker"), "--kill-worker"));
+            "--kill-at-ticket" => {
+                out.kill_at_ticket =
+                    Some(parse_num(&want(args.next(), "--kill-at-ticket"), "--kill-at-ticket"));
             }
             "--trace-out" => out.trace_out = Some(want(args.next(), "--trace-out")),
             "--histogram" => out.histogram = true,
@@ -241,11 +204,10 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: exec [--scale small|paper|large] [--threads N] \
                      [--payload noop|spin|memcpy|faulty|mixed] [--spin-scale F] [--seed N] \
-                     [--policy {SCHED_MENU}] [--classes N --domains N (locality only)] \
                      [--window N] [--decode-shards N] [--no-renaming] [--json] [--out PATH] \
                      [--fault-rate F --failure-policy fail-fast|retry|quarantine] \
                      [--fault-seed N] [--retry-max N] [--retry-backoff-ms F] \
-                     [--task-deadline-ms N] [--run-deadline-ms N] [--kill-worker W] \
+                     [--task-deadline-ms N] [--run-deadline-ms N] [--kill-at-ticket K] \
                      [--trace-out PATH] [--histogram]"
                 );
                 std::process::exit(0);
@@ -256,31 +218,6 @@ fn parse_args() -> Args {
     out.payload = PayloadMode::parse(&payload_name, spin_scale).unwrap_or_else(|| {
         fail(format!("unknown payload '{payload_name}' (noop|spin|memcpy|faulty|mixed)"))
     });
-
-    // Worker-class / affinity-domain shaping only means anything to the
-    // locality policy; silently ignoring the flags elsewhere would make
-    // an ablation sweep lie about what it ran.
-    if !matches!(out.sched, SchedKind::Locality) {
-        if let Some(n) = classes_flag {
-            fail(format!(
-                "--classes {n} only applies to --policy locality, not --policy {}",
-                out.sched.name()
-            ));
-        }
-        if let Some(n) = domains_flag {
-            fail(format!(
-                "--domains {n} only applies to --policy locality, not --policy {}",
-                out.sched.name()
-            ));
-        }
-    }
-    if let Some(n) = domains_flag {
-        if n > out.threads {
-            fail(format!("--domains {n} cannot exceed --threads {}", out.threads));
-        }
-    }
-    out.classes = classes_flag.unwrap_or(out.classes);
-    out.domains = domains_flag.unwrap_or(out.domains);
 
     // Flag-combination validation (all errors name the flags involved;
     // the CLI tests pin these). Injection must be paired with an
@@ -308,13 +245,8 @@ fn parse_args() -> Args {
     } else if retry_max.is_some() {
         fail("--retry-max needs --failure-policy retry");
     }
-    if let Some(k) = out.kill_worker {
-        if out.threads < 2 {
-            fail("--kill-worker needs --threads of at least 2 (a lone dead worker cannot finish)");
-        }
-        if k >= out.threads {
-            fail(format!("--kill-worker {k} is out of range for --threads {}", out.threads));
-        }
+    if out.kill_at_ticket.is_some() && out.threads < 2 {
+        fail("--kill-at-ticket needs --threads of at least 2 (a lone dead worker cannot finish)");
     }
     if let Some(rate) = fault_rate {
         out.fault_rate_ppm = (rate * 1e6).round() as u32;
@@ -339,19 +271,17 @@ fn parse_args() -> Args {
 }
 
 struct Point {
-    /// Two-phase replay (decode excluded from `exec_wall`).
-    replay: ExecReport,
-    /// Pipelined streaming run (decode inside `exec_wall`).
+    /// The pipelined run (decode inside `exec_wall`).
     stream: ExecReport,
     decode_best: Duration,
 }
 
 impl Point {
     fn decode_ns_per_task(&self) -> f64 {
-        if self.replay.tasks == 0 {
+        if self.stream.tasks == 0 {
             return 0.0;
         }
-        self.decode_best.as_nanos() as f64 / self.replay.tasks as f64
+        self.decode_best.as_nanos() as f64 / self.stream.tasks as f64
     }
 
     fn decode_tasks_per_sec(&self) -> f64 {
@@ -395,12 +325,12 @@ fn latency_json(obs: Option<&tss_exec::obs::ObsReport>) -> String {
     }
 }
 
-/// Merges every replay run's sampled histograms for the totals row.
+/// Merges every run's sampled histograms for the totals row.
 /// `None` in a NoopSink build.
 fn merged_obs(points: &[Point]) -> Option<tss_exec::obs::ObsReport> {
     let mut merged: Option<tss_exec::obs::ObsReport> = None;
     for p in points {
-        let Some(o) = &p.replay.obs else { continue };
+        let Some(o) = &p.stream.obs else { continue };
         match &mut merged {
             Some(m) => {
                 m.exec_latency.merge(&o.exec_latency);
@@ -424,7 +354,7 @@ fn merged_obs(points: &[Point]) -> Option<tss_exec::obs::ObsReport> {
 /// tasks/sec, headroom vs the paper's software decoder)`. One helper so
 /// the JSON artifact and the printed summary can never disagree.
 fn aggregate_decode(points: &[Point]) -> (usize, f64, f64, f64) {
-    let tasks: usize = points.iter().map(|p| p.replay.tasks).sum();
+    let tasks: usize = points.iter().map(|p| p.stream.tasks).sum();
     let decode_wall: f64 = points.iter().map(|p| p.decode_best.as_secs_f64()).sum();
     let agg_ns = if tasks > 0 { decode_wall * 1e9 / tasks as f64 } else { 0.0 };
     if agg_ns > 0.0 {
@@ -434,11 +364,11 @@ fn aggregate_decode(points: &[Point]) -> (usize, f64, f64, f64) {
     }
 }
 
-/// Aggregate throughput over a wall-time extractor: `sum(tasks) /
-/// sum(wall)` — the headline number EXPERIMENTS.md tracks across PRs.
-fn aggregate_rate(points: &[Point], wall: impl Fn(&Point) -> f64) -> f64 {
-    let tasks: usize = points.iter().map(|p| p.replay.tasks).sum();
-    let total: f64 = points.iter().map(wall).sum();
+/// Aggregate end-to-end throughput: `sum(tasks) / sum(wall)` — the
+/// headline number EXPERIMENTS.md tracks across PRs.
+fn aggregate_rate(points: &[Point]) -> f64 {
+    let tasks: usize = points.iter().map(|p| p.stream.tasks).sum();
+    let total: f64 = points.iter().map(|p| p.stream.exec_wall.as_secs_f64()).sum();
     if total > 0.0 {
         tasks as f64 / total
     } else {
@@ -449,14 +379,11 @@ fn aggregate_rate(points: &[Point], wall: impl Fn(&Point) -> f64) -> f64 {
 fn to_json(args: &Args, points: &[Point]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"tss-bench-exec/v5\",\n");
+    s.push_str("  \"schema\": \"tss-bench-exec/v6\",\n");
     s.push_str(&format!("  \"scale\": \"{}\",\n", args.scale.name()));
     s.push_str(&format!("  \"threads\": {},\n", args.threads));
     s.push_str(&format!("  \"hw_threads\": {},\n", hw_threads()));
     s.push_str(&format!("  \"payload\": \"{}\",\n", args.payload.name()));
-    s.push_str(&format!("  \"policy\": \"{}\",\n", args.sched.name()));
-    s.push_str(&format!("  \"classes\": {},\n", args.classes));
-    s.push_str(&format!("  \"domains\": {},\n", args.domains));
     s.push_str(&format!("  \"seed\": {},\n", args.seed));
     s.push_str(&format!("  \"window\": {},\n", args.window));
     s.push_str(&format!("  \"decode_shards\": {},\n", args.decode_shards));
@@ -467,7 +394,7 @@ fn to_json(args: &Args, points: &[Point]) -> String {
     s.push_str(&format!("  \"paper_software_decoder_ns_per_task\": {PAPER_SOFTWARE_DECODE_NS},\n"));
     s.push_str("  \"results\": [\n");
     for (i, p) in points.iter().enumerate() {
-        let r = &p.replay;
+        let r = &p.stream;
         let workers: Vec<String> = (0..r.workers.len())
             .map(|w| {
                 format!(
@@ -480,9 +407,7 @@ fn to_json(args: &Args, points: &[Point]) -> String {
             .collect();
         s.push_str(&format!(
             "    {{\"benchmark\": \"{}\", \"tasks\": {}, \"enforced_edges\": {}, \
-             \"decode_ns_per_task\": {:.1}, \"decode_tasks_per_sec\": {:.0}, \
-             \"exec_wall_ms\": {:.3}, \"exec_tasks_per_sec\": {:.0}, \"steals\": {}, \
-             \"cross_steals\": {}, \
+             \"decode_ns_per_task\": {:.1}, \"decode_tasks_per_sec\": {:.0}, \"steals\": {}, \
              \"stream_wall_ms\": {:.3}, \"stream_tasks_per_sec\": {:.0}, \
              \"decode_overlap_pct\": {:.1}, {}\
              \"failed\": {}, \"poisoned\": {}, \"retried_ok\": {}, \"workers_lost\": {}, \
@@ -492,42 +417,37 @@ fn to_json(args: &Args, points: &[Point]) -> String {
             r.rename.enforced_edges,
             p.decode_ns_per_task(),
             p.decode_tasks_per_sec(),
+            r.total_steals(),
             r.exec_wall.as_secs_f64() * 1e3,
             r.tasks_per_sec(),
-            r.total_steals(),
-            r.total_cross_steals(),
-            p.stream.exec_wall.as_secs_f64() * 1e3,
-            p.stream.tasks_per_sec(),
-            p.stream.decode_overlap_pct,
+            r.decode_overlap_pct,
             latency_json(r.obs.as_ref()),
             r.fault.failed.len(),
             r.fault.poisoned.len(),
             r.fault.retried_ok,
-            r.fault.workers_lost + p.stream.fault.workers_lost,
-            r.validated && p.stream.validated,
+            r.fault.workers_lost,
+            r.validated,
             workers.join(", "),
             if i + 1 == points.len() { "" } else { "," }
         ));
     }
     s.push_str("  ],\n");
     let (tasks, agg_ns, per_sec, headroom) = aggregate_decode(points);
-    let exec_rate = aggregate_rate(points, |p| p.replay.exec_wall.as_secs_f64());
-    let stream_rate = aggregate_rate(points, |p| p.stream.exec_wall.as_secs_f64());
+    let stream_rate = aggregate_rate(points);
     let overlap = if points.is_empty() {
         0.0
     } else {
         points.iter().map(|p| p.stream.decode_overlap_pct).sum::<f64>() / points.len() as f64
     };
-    let failed: usize = points.iter().map(|p| p.replay.fault.failed.len()).sum();
-    let poisoned: usize = points.iter().map(|p| p.replay.fault.poisoned.len()).sum();
-    let retried_ok: usize = points.iter().map(|p| p.replay.fault.retried_ok).sum();
-    let workers_lost: usize =
-        points.iter().map(|p| p.replay.fault.workers_lost + p.stream.fault.workers_lost).sum();
+    let failed: usize = points.iter().map(|p| p.stream.fault.failed.len()).sum();
+    let poisoned: usize = points.iter().map(|p| p.stream.fault.poisoned.len()).sum();
+    let retried_ok: usize = points.iter().map(|p| p.stream.fault.retried_ok).sum();
+    let workers_lost: usize = points.iter().map(|p| p.stream.fault.workers_lost).sum();
     let merged = merged_obs(points);
     s.push_str(&format!(
         "  \"totals\": {{\"tasks\": {tasks}, \"hw_threads\": {}, \"decode_ns_per_task\": {agg_ns:.1}, \
          \"decode_tasks_per_sec\": {per_sec:.0}, \"decode_headroom_vs_paper\": {headroom:.1}, \
-         \"exec_tasks_per_sec\": {exec_rate:.0}, \"stream_tasks_per_sec\": {stream_rate:.0}, \
+         \"stream_tasks_per_sec\": {stream_rate:.0}, \
          \"decode_overlap_pct_mean\": {overlap:.1}, {}\
          \"failed\": {failed}, \"poisoned\": {poisoned}, \"retried_ok\": {retried_ok}, \
          \"workers_lost\": {workers_lost}}}\n",
@@ -539,7 +459,7 @@ fn to_json(args: &Args, points: &[Point]) -> String {
 }
 
 /// Renders the sampled latency quantiles as a table (`--histogram`;
-/// only reachable in an obs build, so the replay reports carry obs).
+/// only reachable in an obs build, so the reports carry obs).
 fn histogram_table(points: &[Point]) -> String {
     let mut table = Table::new(
         format!("Sampled task latency (1 in {} tasks, ns)", tss_exec::obs::SAMPLE_EVERY),
@@ -567,22 +487,14 @@ fn histogram_table(points: &[Point]) -> String {
         ]);
     };
     for p in points {
-        if let Some(o) = &p.replay.obs {
-            row(&mut table, p.replay.benchmark.clone(), o);
+        if let Some(o) = &p.stream.obs {
+            row(&mut table, p.stream.benchmark.clone(), o);
         }
     }
     if let Some(m) = merged_obs(points) {
         row(&mut table, "TOTAL".into(), &m);
     }
     table.render()
-}
-
-/// The failure identity of a run: which tasks finally failed and which
-/// were cone-poisoned. Injection is a pure function of `(fault seed,
-/// task, attempt)` (DESIGN.md §11), so with `--fault-rate` armed the
-/// replay and streamed runs must agree on this exactly.
-fn failure_sets(r: &ExecReport) -> (Vec<u32>, Vec<u32>) {
-    (r.fault.failed.iter().map(|f| f.task).collect(), r.fault.poisoned.clone())
 }
 
 /// Unwraps one run's result and applies the post-run gates, in severity
@@ -624,7 +536,7 @@ fn run_checked(
 
 fn main() {
     let args = parse_args();
-    let chaos = args.fault_rate_ppm > 0 || args.kill_worker.is_some();
+    let chaos = args.fault_rate_ppm > 0 || args.kill_at_ticket.is_some();
     if chaos {
         // Injected panics are expected traffic at a 5% rate; keep the
         // default hook's backtraces for *real* panics only.
@@ -646,14 +558,11 @@ fn main() {
             decode_best = decode_best.min(dt);
         }
 
-        // Validation happens below, outside the timed runs, so the
+        // Validation happens below, outside the timed run, so the
         // harness exits with a clear per-benchmark message.
         let cfg = ExecConfig {
             threads: args.threads,
             payload: args.payload,
-            sched: args.sched,
-            classes: args.classes,
-            domains: args.domains,
             renaming: args.renaming,
             seed: args.seed,
             window: args.window,
@@ -662,52 +571,37 @@ fn main() {
             policy: args.policy,
             task_deadline: args.task_deadline,
             run_deadline: args.run_deadline,
-            kill_worker: args.kill_worker,
+            kill_at_ticket: args.kill_at_ticket,
             cancel: None,
         };
-        let exec = Executor::new(cfg);
-        // Two-phase replay: the scheduler-only, PR-comparable number.
-        let replay = run_checked(bench, exec.run_oneshot(&trace), &oracle);
-        // Pipelined streaming run: decode overlapped with execution.
-        let stream = run_checked(bench, exec.run(&trace), &oracle);
-        if args.fault_rate_ppm > 0 && failure_sets(&replay) != failure_sets(&stream) {
-            eprintln!(
-                "[exec] {bench}: DETERMINISM VIOLATION: replay and streamed runs disagree \
-                 on the failure sets (replay {:?}, stream {:?}) for the same fault seed",
-                failure_sets(&replay),
-                failure_sets(&stream),
-            );
-            std::process::exit(1);
-        }
+        let stream = run_checked(bench, Executor::new(cfg).run(&trace), &oracle);
         eprintln!(
-            "  [exec] {bench}: {} tasks, decode {:.0} ns/task, replay {:.2} ms ({} steals), \
-             stream {:.2} ms ({:.0}% decode overlap) — ok",
-            replay.tasks,
-            decode_best.as_nanos() as f64 / replay.tasks.max(1) as f64,
-            replay.exec_wall.as_secs_f64() * 1e3,
-            replay.total_steals(),
+            "  [exec] {bench}: {} tasks, decode {:.0} ns/task, stream {:.2} ms \
+             ({} steals, {:.0}% decode overlap) — ok",
+            stream.tasks,
+            decode_best.as_nanos() as f64 / stream.tasks.max(1) as f64,
             stream.exec_wall.as_secs_f64() * 1e3,
+            stream.total_steals(),
             stream.decode_overlap_pct,
         );
-        if replay.fault.any() || stream.fault.any() {
+        if stream.fault.any() {
             eprintln!(
-                "  [exec] {bench}: chaos: failed {}, poisoned {}, retried-ok {}, \
-                 workers lost {} (replay run)",
-                fmt_count_pct(replay.fault.failed.len(), replay.tasks),
-                fmt_count_pct(replay.fault.poisoned.len(), replay.tasks),
-                replay.fault.retried_ok,
-                replay.fault.workers_lost + stream.fault.workers_lost,
+                "  [exec] {bench}: chaos: failed {}, poisoned {}, retried-ok {}, workers lost {}",
+                fmt_count_pct(stream.fault.failed.len(), stream.tasks),
+                fmt_count_pct(stream.fault.poisoned.len(), stream.tasks),
+                stream.fault.retried_ok,
+                stream.fault.workers_lost,
             );
         }
-        points.push(Point { replay, stream, decode_best });
+        points.push(Point { stream, decode_best });
     }
 
     let json = to_json(&args, &points);
     std::fs::write(&args.out, &json)
         .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.out)));
 
-    // Timeline export (DESIGN.md §12.4): the streaming runs, which have
-    // both worker and decode-shard tracks. Only reachable in an obs
+    // Timeline export (DESIGN.md §12.4): worker and decode-shard
+    // tracks for every benchmark. Only reachable in an obs
     // build (parse_args rejects the flag otherwise).
     if let Some(path) = &args.trace_out {
         let runs: Vec<(String, &tss_exec::obs::ObsReport)> = points
@@ -728,11 +622,10 @@ fn main() {
     } else {
         let mut table = Table::new(
             format!(
-                "Native executor ({} scale, {} threads, {} payload, {} policy, seed {}, window {}, {} decode shards)",
+                "Native executor ({} scale, {} threads, {} payload, seed {}, window {}, {} decode shards)",
                 args.scale.name(),
                 args.threads,
                 args.payload.name(),
-                args.sched.name(),
                 args.seed,
                 args.window,
                 args.decode_shards,
@@ -742,8 +635,6 @@ fn main() {
                 "tasks",
                 "edges",
                 "decode ns/t",
-                "replay ms",
-                "replay t/s",
                 "steals",
                 "stream ms",
                 "stream t/s",
@@ -754,21 +645,19 @@ fn main() {
             ],
         );
         for p in &points {
-            let r = &p.replay;
+            let r = &p.stream;
             table.row(vec![
                 r.benchmark.clone(),
                 r.tasks.to_string(),
                 r.rename.enforced_edges.to_string(),
                 fmt_f(p.decode_ns_per_task(), 0),
+                r.total_steals().to_string(),
                 fmt_f(r.exec_wall.as_secs_f64() * 1e3, 2),
                 fmt_f(r.tasks_per_sec(), 0),
-                r.total_steals().to_string(),
-                fmt_f(p.stream.exec_wall.as_secs_f64() * 1e3, 2),
-                fmt_f(p.stream.tasks_per_sec(), 0),
-                fmt_f(p.stream.decode_overlap_pct, 0),
+                fmt_f(r.decode_overlap_pct, 0),
                 r.fault.failed.len().to_string(),
                 r.fault.poisoned.len().to_string(),
-                if r.validated && p.stream.validated { "ok".into() } else { "FAIL".into() },
+                if r.validated { "ok".into() } else { "FAIL".into() },
             ]);
         }
         println!("{}", table.render());
@@ -781,19 +670,15 @@ fn main() {
              ~{PAPER_SOFTWARE_DECODE_NS:.0} ns/task software decoder — {headroom:.1}x headroom.",
             per_sec / 1e6,
         );
-        println!(
-            "Aggregate replay {:.2}M tasks/s (two-phase) | streamed end-to-end {:.2}M tasks/s.",
-            aggregate_rate(&points, |p| p.replay.exec_wall.as_secs_f64()) / 1e6,
-            aggregate_rate(&points, |p| p.stream.exec_wall.as_secs_f64()) / 1e6,
-        );
+        println!("Aggregate streamed end-to-end {:.2}M tasks/s.", aggregate_rate(&points) / 1e6);
         if chaos {
-            let total: usize = points.iter().map(|p| p.replay.tasks).sum();
-            let failed: usize = points.iter().map(|p| p.replay.fault.failed.len()).sum();
-            let poisoned: usize = points.iter().map(|p| p.replay.fault.poisoned.len()).sum();
-            let retried: usize = points.iter().map(|p| p.replay.fault.retried_ok).sum();
+            let total: usize = points.iter().map(|p| p.stream.tasks).sum();
+            let failed: usize = points.iter().map(|p| p.stream.fault.failed.len()).sum();
+            let poisoned: usize = points.iter().map(|p| p.stream.fault.poisoned.len()).sum();
+            let retried: usize = points.iter().map(|p| p.stream.fault.retried_ok).sum();
             println!(
                 "Chaos ({} @ {} ppm, fault seed {}): failed {}, poisoned {}, \
-                 retried-ok {} — accounting reconciled, replay/stream failure sets agree.",
+                 retried-ok {} — accounting reconciled.",
                 args.policy.name(),
                 args.fault_rate_ppm,
                 args.fault_seed,

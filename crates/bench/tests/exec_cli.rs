@@ -92,13 +92,13 @@ fn zero_deadlines_are_clean_errors() {
 
 #[test]
 fn kill_worker_bounds_are_validated_against_threads() {
-    let (code, err) = run(&["--kill-worker", "0", "--threads", "1"]);
+    let (code, err) = run(&["--kill-at-ticket", "0", "--threads", "1"]);
     assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("--kill-worker needs --threads of at least 2"), "stderr: {err}");
+    assert!(err.contains("--kill-at-ticket needs --threads of at least 2"), "stderr: {err}");
 
-    let (code, err) = run(&["--kill-worker", "5", "--threads", "4"]);
+    let (code, err) = run(&["--kill-at-ticket", "-1", "--threads", "4"]);
     assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("--kill-worker 5 is out of range for --threads 4"), "stderr: {err}");
+    assert!(err.contains("--kill-at-ticket must be a number"), "stderr: {err}");
 }
 
 #[test]
@@ -119,43 +119,6 @@ fn unknown_policy_suggests_the_menu() {
     assert_eq!(code, 2, "stderr: {err}");
     assert!(err.contains("unknown --failure-policy 'ignore'"), "stderr: {err}");
     assert!(err.contains("fail-fast|retry|quarantine"), "stderr: {err}");
-}
-
-// --- scheduling-policy flags (ISSUE 9 satellite, DESIGN.md §13) ---
-
-#[test]
-fn unknown_sched_policy_suggests_the_menu() {
-    let (code, err) = run(&["--policy", "greedy"]);
-    assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("unknown policy 'greedy'"), "stderr: {err}");
-    assert!(err.contains("lifo|fifo|cost|locality"), "suggests the menu: {err}");
-    assert!(!err.contains("panicked"), "panicked instead of failing cleanly: {err}");
-}
-
-#[test]
-fn class_and_domain_flags_require_the_locality_policy() {
-    let (code, err) = run(&["--policy", "lifo", "--domains", "4"]);
-    assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("--domains 4"), "names the offending flag: {err}");
-    assert!(err.contains("--policy locality"), "names the required policy: {err}");
-    assert!(err.contains("lifo"), "names what was actually selected: {err}");
-
-    // Default policy is lifo, so a bare --classes is equally wrong.
-    let (code, err) = run(&["--classes", "2"]);
-    assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("--classes 2"), "stderr: {err}");
-    assert!(err.contains("--policy locality"), "stderr: {err}");
-}
-
-#[test]
-fn sched_shape_values_are_validated() {
-    let (code, err) = run(&["--policy", "locality", "--classes", "0"]);
-    assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("--classes must be at least 1"), "stderr: {err}");
-
-    let (code, err) = run(&["--policy", "locality", "--domains", "8", "--threads", "4"]);
-    assert_eq!(code, 2, "stderr: {err}");
-    assert!(err.contains("--domains 8 cannot exceed --threads 4"), "stderr: {err}");
 }
 
 #[test]
@@ -227,7 +190,7 @@ fn obs_build_writes_a_chrome_trace_and_latency_fields() {
     assert!(tj.contains("\"ph\":\"X\""), "no slices recorded");
 
     let bj = std::fs::read_to_string(&bench).expect("bench json written");
-    assert!(bj.contains("\"schema\": \"tss-bench-exec/v5\""));
+    assert!(bj.contains("\"schema\": \"tss-bench-exec/v6\""));
     for key in ["latency_p50_ns", "latency_p99_ns", "latency_p999_ns", "queue_p999_ns"] {
         assert!(bj.contains(key), "missing {key} in BENCH json");
     }

@@ -68,6 +68,8 @@ impl<P, R> SlotClaims<P, R> {
     /// Panics if an index is ever handed to two workers ("point claimed
     /// twice") — the invariant the model tests pound on.
     pub fn claim(&self) -> Option<(usize, P)> {
+        // RELAXED: fetch_add RMW atomicity alone yields unique indices; payload handed over by the
+        // slot mutex (model: fabric_claims_are_exclusive)
         let i = self.cursor.fetch_add(1, Ordering::Relaxed);
         if i >= self.inputs.len() {
             return None;

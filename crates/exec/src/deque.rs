@@ -81,6 +81,8 @@ pub const BATCH_MAX: usize = 32;
 #[cfg(not(tss_bug_publish_relaxed))]
 const BUF_PUBLISH: Ordering = Ordering::Release;
 #[cfg(tss_bug_publish_relaxed)]
+// RELAXED: deliberately-weak seeded-bug arm, compiled only under --cfg tss_bug_publish_relaxed;
+// model_steal_batch_vs_grow fails when active
 const BUF_PUBLISH: Ordering = Ordering::Relaxed;
 
 /// The growable circular cell array. Capacity is always a power of two;
@@ -106,11 +108,14 @@ impl Buffer {
 
     #[inline]
     fn read(&self, i: isize) -> u32 {
+        // RELAXED: cell read; a stolen value is used only after winning the SeqCst top CAS, an
+        // owner pop is validated against top
         self.cells[i as usize & self.mask].load(Ordering::Relaxed)
     }
 
     #[inline]
     fn write(&self, i: isize, v: u32) {
+        // RELAXED: cell write; published to thieves by push's Release store of bottom
         self.cells[i as usize & self.mask].store(v, Ordering::Relaxed);
     }
 }
@@ -181,7 +186,9 @@ impl ChaseLev {
     /// A snapshot of the queue length (exact when quiescent; a hint
     /// under concurrency). Used by wake heuristics, never correctness.
     pub fn len(&self) -> usize {
+        // RELAXED: len() snapshot; advisory size estimate, never a correctness input
         let b = self.bottom.load(Ordering::Relaxed);
+        // RELAXED: len() snapshot; advisory size estimate, never a correctness input
         let t = self.top.load(Ordering::Relaxed);
         b.saturating_sub(t).max(0) as usize
     }
@@ -201,8 +208,10 @@ impl ChaseLev {
 
     /// Owner push (bottom / LIFO end).
     pub fn push(&self, task: u32) {
+        // RELAXED: push: bottom is owner-private between its own Release stores
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
+        // RELAXED: push: owner is the only buffer mutator; grow happens on this thread
         let mut buf = self.buffer(Ordering::Relaxed);
         if b - t >= buf.cap() as isize {
             buf = self.grow(t, b);
@@ -215,15 +224,22 @@ impl ChaseLev {
 
     /// Owner pop (bottom): newest task first.
     pub fn pop(&self) -> Option<u32> {
+        // RELAXED: pop: owner-private bottom read; the SeqCst fence below orders the speculation
         let b = self.bottom.load(Ordering::Relaxed) - 1;
+        // RELAXED: pop: owner reads its own buffer; grow is owner-only
         let buf = self.buffer(Ordering::Relaxed);
+        // RELAXED: pop: speculative bottom store ordered by the SeqCst fence below (model:
+        // pop_vs_steal_last_element)
         self.bottom.store(b, Ordering::Relaxed);
         // Pairs with the fence in `steal`: one of the two sides must
         // see the other's index write (Dekker store-load).
         fence(Ordering::SeqCst);
+        // RELAXED: pop: top read ordered by the preceding SeqCst fence (the Dekker edge, DESIGN.md
+        // §8.1)
         let t = self.top.load(Ordering::Relaxed);
         if t > b {
             // Empty: undo the reservation.
+            // RELAXED: pop: bottom restore on empty; owner-private, republished by next push
             self.bottom.store(b + 1, Ordering::Relaxed);
             return None;
         }
@@ -231,7 +247,9 @@ impl ChaseLev {
         if t == b {
             // Last item: arbitrate with thieves via the top CAS.
             let won =
+                // RELAXED: CAS failure ordering; nothing is read from a lost final-element race
                 self.top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed).is_ok();
+            // RELAXED: pop: bottom reset after contested final element; owner-private
             self.bottom.store(b + 1, Ordering::Relaxed);
             return won.then_some(v);
         }
@@ -250,6 +268,8 @@ impl ChaseLev {
             }
             let v = self.buffer(Ordering::Acquire).read(t);
             // The cell was copied above; on success the slot is ours.
+            // RELAXED: steal CAS failure ordering; the thief retries from fresh loads, no data
+            // depends on failure
             if self.top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed).is_ok() {
                 return Some(v);
             }
@@ -313,6 +333,7 @@ impl ChaseLev {
     /// Cold path: double the buffer, copy live cells, publish, retire.
     #[cold]
     fn grow(&self, t: isize, b: isize) -> &Buffer {
+        // RELAXED: grow: old buffer pointer read by the owner, the only buf writer
         let old_ptr = self.buf.load(Ordering::Relaxed);
         // SAFETY: same lifetime argument as `buffer`.
         let old = unsafe { &*old_ptr };
@@ -330,13 +351,10 @@ impl ChaseLev {
     }
 }
 
-/// The victim-selection seam (DESIGN.md §13.4): fills `buf` with every
-/// worker index except `me` (out of `n` workers), rotated so the scan
-/// starts at a rotation-offset derived from `r`. This is exactly the
-/// rotation the pre-§13 executor inlined — `others` ascending, scan
-/// from `r % (n-1)` — split out so scheduling policies can compose it
-/// (per-domain rotations, load-ordered scans) without re-deriving the
-/// exclude-self index arithmetic.
+/// The steal-victim scan order: fills `buf` with every worker index
+/// except `me` (out of `n` workers), ascending, rotated to start at
+/// `r % (n-1)` — a random start spreads thieves over victims while the
+/// scan still visits every deque.
 pub fn rotate_victims(me: usize, n: usize, r: u64, buf: &mut Vec<usize>) {
     buf.clear();
     if n <= 1 {
@@ -357,6 +375,7 @@ impl Drop for ChaseLev {
         // SAFETY: `&mut self` guarantees no thread still reads these;
         // every pointer came from `Box::into_raw` exactly once.
         unsafe {
+            // RELAXED: Drop has &mut self; no concurrent access remains
             drop(Box::from_raw(self.buf.load(Ordering::Relaxed)));
             for p in self.graveyard.get_mut().expect("deque graveyard poisoned").drain(..) {
                 drop(Box::from_raw(p));
@@ -369,6 +388,7 @@ impl std::fmt::Debug for ChaseLev {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaseLev")
             .field("len", &self.len())
+            // RELAXED: Debug snapshot; diagnostic only
             .field("cap", &self.buffer(Ordering::Relaxed).cap())
             .finish()
     }
@@ -383,8 +403,8 @@ mod tests {
 
     #[test]
     fn rotate_victims_is_the_baseline_rotation() {
-        // Must reproduce the pre-§13 inline scan: `others` ascending
-        // (all-but-me), visited from `r % others.len()`.
+        // `others` ascending (all-but-me), visited from
+        // `r % others.len()`.
         let mut buf = Vec::new();
         for n in 1..6usize {
             for me in 0..n {
@@ -795,6 +815,7 @@ mod model_tests {
             let mut all = thief.join().unwrap();
             // The thief can take at most 3, so ≥ 14 were live at push
             // time and the 8→16 grow is unavoidable in every schedule.
+            // RELAXED: test reads a quiesced deque after all threads joined
             assert!(q.buffer(Ordering::Relaxed).cap() >= 16, "expected at least one grow");
             while let Some(v) = q.pop() {
                 all.push(v);

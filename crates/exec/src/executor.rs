@@ -6,21 +6,19 @@
 //! Scheme (DESIGN.md §7 for the execution side, §8 for the streaming
 //! protocol and memory orderings):
 //!
-//! - **Two run modes.** [`Executor::run`] streams: decode shard
-//!   threads rename the trace window by window *while* workers execute
+//! - **One run path.** [`Executor::run`] streams: decode shard threads
+//!   rename the trace window by window *while* workers execute
 //!   already-committed windows (the decode cost overlaps execution —
-//!   [`ExecReport::decode_overlap_pct`]). [`Executor::run_oneshot`]
-//!   keeps PR 3's phases (decode fully, then replay) — it is the
-//!   apples-to-apples replay-throughput measurement and the shape the
-//!   microbenches time.
+//!   [`ExecReport::decode_overlap_pct`]).
 //! - **Lock-free scheduling.** Per-worker [`ChaseLev`] deques (owner
 //!   LIFO, thief FIFO, batch stealing takes half) replace the mutexed
-//!   ring; the one lock left on the task hot path is gone.
-//! - **Readiness.** Every task carries an atomic counter. In one-shot
-//!   mode it starts at the decoded producer count. In streaming mode it
-//!   starts at a large sentinel `UNPUBLISHED`: producers that finish
-//!   *before* their successor is even decoded simply decrement through
-//!   the sentinel, and the window commit adds `pred_count − UNPUBLISHED`
+//!   ring; the one lock left on the task hot path is gone. Idle workers
+//!   drain the injector first, then scan every other worker's deque
+//!   from a seeded random start.
+//! - **Readiness.** Every task carries an atomic counter that starts at
+//!   a large sentinel `UNPUBLISHED`: producers that finish *before*
+//!   their successor is even decoded simply decrement through the
+//!   sentinel, and the window commit adds `pred_count − UNPUBLISHED`
 //!   back — whichever atomic op lands the counter exactly on zero owns
 //!   the push. Early release needs no blocking and no side lookups.
 //! - **Pending-release lists.** A producer's successor set is not fully
@@ -43,14 +41,11 @@
 //!   validated run. The ticket counter doubles as the termination
 //!   count: ticket `n−1` means every task has executed.
 //!
-//! With one worker there is no stealing and no ticket race. For a
-//! *two-phase* replay ([`Executor::run_oneshot`]) the order is then a
-//! pure function of the queue discipline (own deque LIFO over injector
-//! FIFO, batch banking preserves root order) — bit-deterministic, and
-//! the determinism tests pin it. A *streamed* 1-worker run is oracle-
-//! deterministic only: whether a task arrives via the injector or via
-//! a producer's pending list is the decode-vs-execution race itself
-//! (`tests/streaming.rs` pins that contract).
+//! With one worker there is no stealing and no ticket race, but a
+//! streamed run is still oracle-deterministic only: whether a task
+//! arrives via the injector or via a producer's pending list is the
+//! decode-vs-execution race itself (`tests/streaming.rs` pins that
+//! contract).
 
 use crate::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::{Condvar, Mutex};
@@ -62,16 +57,13 @@ use std::time::Duration;
 use tss_obs::clock::Stamp;
 use tss_obs::{ObsReport, SharedObs, SpanStamp, WorkerObs};
 
-use crate::deque::{ChaseLev, BATCH_MAX};
+use crate::deque::{rotate_victims, ChaseLev, BATCH_MAX};
 use crate::fault::{
     backoff_for, panic_message, ExecError, FailedTask, FailurePolicy, FaultPlan, FaultReport,
     InjectedFault, TaskFailure, INJECTED_PANIC_MARKER,
 };
 use crate::payload::{build_arena, PayloadMode, PayloadScratch};
-use crate::renamer::{merge_window, RenameStats, Renamer, ShardState, TaskGraph};
-use crate::sched::{
-    CostAwarePolicy, FifoPolicy, LifoPolicy, LocalityPolicy, SchedKind, SchedPolicy,
-};
+use crate::renamer::{merge_window, RenameStats, ShardState};
 use tss_sim::{CachePadded, Cycle};
 use tss_trace::{OrderViolation, TaskId, TaskTrace};
 
@@ -106,19 +98,12 @@ pub struct ExecConfig {
     /// Whole-run wall-clock budget: expiry aborts the run with
     /// [`ExecError::RunDeadline`].
     pub run_deadline: Option<Duration>,
-    /// Chaos: kill this worker's thread after its first completed task
-    /// (the survivors adopt its deque via the thief protocol). Requires
-    /// `threads >= 2`.
-    pub kill_worker: Option<usize>,
-    /// Scheduling policy (DESIGN.md §13). The default, [`SchedKind::Lifo`],
-    /// monomorphizes to the pre-§13 worker loop.
-    pub sched: SchedKind,
-    /// Worker classes for [`SchedKind::Locality`] (clamped to 1..=2;
-    /// 1 disables class routing). Ignored by the other policies.
-    pub classes: usize,
-    /// Affinity domains for [`SchedKind::Locality`] (clamped to
-    /// 1..=threads). Ignored by the other policies.
-    pub domains: usize,
+    /// Chaos: the worker that takes completion ticket `K` exits right
+    /// after releasing that task's successors (the survivors adopt its
+    /// deque via the thief protocol). Exactly one worker dies in every
+    /// run with more than `K` tasks, whatever the thread timing; a run
+    /// with at most `K` tasks loses none. Requires `threads >= 2`.
+    pub kill_at_ticket: Option<usize>,
     /// External cancellation (DESIGN.md §14.3): when the token fires,
     /// the watchdog aborts the run and it returns
     /// [`ExecError::Cancelled`] with its progress counts. `None` (the
@@ -139,10 +124,7 @@ impl Default for ExecConfig {
             policy: FailurePolicy::FailFast,
             task_deadline: None,
             run_deadline: None,
-            kill_worker: None,
-            sched: SchedKind::Lifo,
-            classes: 2,
-            domains: 1,
+            kill_at_ticket: None,
             cancel: None,
         }
     }
@@ -185,10 +167,6 @@ pub struct WorkerStats {
     pub executed: u64,
     /// Steal *events* (a batch steal of k tasks counts once).
     pub steals: u64,
-    /// Steal events that crossed an affinity domain (always ≤ `steals`;
-    /// zero under every domain-blind policy, where the check folds to
-    /// constant `false` — DESIGN.md §13.4).
-    pub cross_steals: u64,
     /// Wall time spent executing tasks, measured per work *burst* (the
     /// span from acquiring work to going idle), not per task: noop
     /// payloads pay two clock reads per burst instead of two per task,
@@ -210,22 +188,18 @@ pub struct ExecReport {
     pub threads: usize,
     /// Payload mode.
     pub payload: PayloadMode,
-    /// Decode span. One-shot runs: the serial decode phase. Streaming
-    /// runs: from thread start to the last window commit — a *span*
-    /// that shares the host with execution, not a pure-work figure.
+    /// Decode span: from thread start to the last window commit — a
+    /// *span* that shares the host with execution, not a pure-work
+    /// figure.
     pub decode_wall: Duration,
-    /// Replay span. One-shot runs: the threaded replay, decode
-    /// excluded. Streaming runs: the whole pipelined run — decode
-    /// happens *inside* this span, which is the point.
+    /// The whole pipelined run — decode happens *inside* this span,
+    /// which is the point.
     pub exec_wall: Duration,
     /// Share (percent) of `exec_wall` during which decode was still
-    /// streaming. Zero for one-shot runs (decode is a serial phase
-    /// before the replay); near 100 means the frontend streamed for the
-    /// whole run and was never a standalone latency.
+    /// streaming; near 100 means the frontend streamed for the whole
+    /// run and was never a standalone latency.
     pub decode_overlap_pct: f64,
-    /// Whether this run streamed decode into execution.
-    pub streaming: bool,
-    /// Decode shard threads used (1 for one-shot runs).
+    /// Decode shard threads used.
     pub decode_shards: usize,
     /// The completion log: task ids in global completion-ticket order.
     pub order: Vec<TaskId>,
@@ -245,10 +219,8 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    /// Decode throughput in nanoseconds per task (the native number the
-    /// paper's ~700 ns/task software-decoder ceiling is compared to).
-    /// For streaming runs this is a span over a shared host — see
-    /// [`ExecReport::decode_wall`].
+    /// Decode throughput in nanoseconds per task — a span over a shared
+    /// host, see [`ExecReport::decode_wall`].
     pub fn decode_ns_per_task(&self) -> f64 {
         if self.tasks == 0 {
             return 0.0;
@@ -256,8 +228,8 @@ impl ExecReport {
         self.decode_wall.as_nanos() as f64 / self.tasks as f64
     }
 
-    /// Replay throughput in tasks per second (for streaming runs this
-    /// is end-to-end: decode is inside the denominator).
+    /// End-to-end throughput in tasks per second (decode is inside the
+    /// denominator).
     pub fn tasks_per_sec(&self) -> f64 {
         let s = self.exec_wall.as_secs_f64();
         if s > 0.0 {
@@ -270,11 +242,6 @@ impl ExecReport {
     /// Total steal events across workers.
     pub fn total_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.steals).sum()
-    }
-
-    /// Total cross-domain steal events across workers (§13.4).
-    pub fn total_cross_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.cross_steals).sum()
     }
 
     /// A worker's busy fraction of the replay wall time (burst-timed;
@@ -351,6 +318,8 @@ impl Parker {
     /// work — the producer itself still holds the tasks).
     #[inline]
     fn has_idle(&self) -> bool {
+        // RELAXED: idle-count hint for wake elision; the SeqCst parker epoch is the real sleep/wake
+        // edge
         self.idle.load(Ordering::Relaxed) > 0
     }
 
@@ -408,6 +377,8 @@ const FAILED: u8 = 2;
 #[cfg(not(tss_bug_poison_relaxed))]
 const POISON_PUBLISH: Ordering = Ordering::AcqRel;
 #[cfg(tss_bug_poison_relaxed)]
+// RELAXED: deliberately-weak seeded-bug arm, compiled only under --cfg tss_bug_poison_relaxed;
+// model_poison_publish_reaches_the_committer fails when active (DESIGN.md §11.2)
 const POISON_PUBLISH: Ordering = Ordering::Relaxed;
 
 /// Marks a task poisoned. Plain store: the countdown RMW chain (or the
@@ -415,79 +386,27 @@ const POISON_PUBLISH: Ordering = Ordering::Relaxed;
 /// the byte to whoever pops it.
 #[inline]
 fn mark_poisoned(status: &AtomicU8) {
+    // RELAXED: poison byte store; carried to the consumer by the countdown AcqRel RMW chain or the
+    // pending-close publish (DESIGN.md §11.2)
     status.store(POISONED, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------
-// Release modes (how a completion finds its successors)
+// Successor release (how a completion finds its successors)
 // ---------------------------------------------------------------------
 
-/// How a completed task's successors are found and counted down. Two
-/// implementations, one worker loop: the hot path is monomorphized per
-/// mode, never dynamically dispatched.
-trait ReleaseSuccs: Sync {
-    /// Called exactly once per completed task `t`; appends every task
-    /// made ready by this completion to `ready`. `obs` carries the
-    /// sampled pending-drain gauge (a no-op in NoopSink builds).
-    fn release(&self, t: u32, ready: &mut Vec<u32>, obs: &SharedObs);
-
-    /// [`ReleaseSuccs::release`] for a FAILED or POISONED task `t`:
-    /// marks every successor POISONED in `status` *before* counting it
-    /// down, so a successor that becomes ready is observed poisoned by
-    /// whichever worker pops it (the countdown's AcqRel chain plus the
-    /// deque's push/steal protocol carry the byte).
-    fn poison_release(&self, t: u32, status: &[AtomicU8], ready: &mut Vec<u32>);
-}
-
-/// One-shot mode: the successor CSR is fully decoded up front and the
-/// counters start at the exact producer count.
-struct PrebuiltRelease<'a> {
-    graph: &'a TaskGraph,
-    unready: Vec<AtomicI32>,
-}
-
-impl<'a> PrebuiltRelease<'a> {
-    fn new(graph: &'a TaskGraph) -> Self {
-        let unready =
-            (0..graph.len()).map(|t| AtomicI32::new(graph.pred_count(t) as i32)).collect();
-        PrebuiltRelease { graph, unready }
-    }
-}
-
-impl ReleaseSuccs for PrebuiltRelease<'_> {
-    #[inline]
-    fn release(&self, t: u32, ready: &mut Vec<u32>, _obs: &SharedObs) {
-        for &s in self.graph.succs(t as TaskId) {
-            // AcqRel: release our payload writes to the successor's
-            // executor, acquire the other producers' on the 1 → 0 edge.
-            if self.unready[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                ready.push(s);
-            }
-        }
-    }
-
-    fn poison_release(&self, t: u32, status: &[AtomicU8], ready: &mut Vec<u32>) {
-        for &s in self.graph.succs(t as TaskId) {
-            mark_poisoned(&status[s as usize]);
-            if self.unready[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                ready.push(s);
-            }
-        }
-    }
-}
-
-/// Streaming mode sentinels (pending-list heads).
+/// Pending-list head sentinels.
 const PENDING_NIL: u32 = u32::MAX;
 const PENDING_CLOSED: u32 = u32::MAX - 1;
 
-/// Streaming mode readiness sentinel: a counter at `UNPUBLISHED − k`
+/// Readiness sentinel: a counter at `UNPUBLISHED − k`
 /// means "not yet decoded, k producers already finished". Must exceed
 /// any real producer count; `1 << 30` towers over the ≤ `3 ×
 /// operands` edge bound.
 const UNPUBLISHED: i32 = 1 << 30;
 
-/// Streaming mode: successor sets grow as later windows decode, so each
-/// task owns a lock-free pending-release list; counters start at the
+/// Successor sets grow as later windows decode, so each task owns a
+/// lock-free pending-release list; counters start at the
 /// [`UNPUBLISHED`] sentinel and are reconciled by the window commit.
 struct StreamRelease {
     unready: Vec<AtomicI32>,
@@ -528,14 +447,18 @@ impl StreamRelease {
                 // head load synchronizes with the closing swap, so `p`'s
                 // status byte (stored before the close) is visible —
                 // unless the seeded §10.3 bug weakened the close.
+                // RELAXED: status byte read after the Acquire head load observed PENDING_CLOSED;
+                // ordered by the AcqRel close (DESIGN.md §11.2)
                 return if status[p as usize].load(Ordering::Relaxed) == HEALTHY {
                     EdgeFate::SatisfiedHealthy
                 } else {
                     EdgeFate::SatisfiedPoisoned
                 };
             }
-            self.nodes[node_idx as usize]
-                .store(((head as u64) << 32) | s as u64, Ordering::Relaxed);
+            let node = ((head as u64) << 32) | s as u64;
+            // RELAXED: node payload write; published to the drainer by the AcqRel head CAS that
+            // links it
+            self.nodes[node_idx as usize].store(node, Ordering::Relaxed);
             if self.pending[p as usize]
                 .compare_exchange(head, node_idx, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
@@ -544,6 +467,54 @@ impl StreamRelease {
             }
             // Lost to the drain swap (or another commit — impossible
             // under the commit lock): retry against the new head.
+        }
+    }
+
+    /// Called exactly once per completed task `t`; appends every task
+    /// made ready by this completion to `ready`. `obs` carries the
+    /// sampled pending-drain gauge (a no-op in NoopSink builds).
+    #[inline]
+    fn release(&self, t: u32, ready: &mut Vec<u32>, obs: &SharedObs) {
+        // Close the list: every edge registered up to now is drained
+        // here; every edge registered after sees CLOSED and counts
+        // itself satisfied at the commit (§8 exactly-once handshake).
+        let mut head = self.pending[t as usize].swap(PENDING_CLOSED, Ordering::AcqRel);
+        let mut drained = 0u64;
+        while head != PENDING_NIL {
+            // RELAXED: node read after winning the AcqRel swap of the pending head; the swap orders
+            // the list
+            let node = self.nodes[head as usize].load(Ordering::Relaxed);
+            self.countdown(node as u32, ready);
+            drained += 1;
+            head = (node >> 32) as u32;
+        }
+        // Sampled pending-drain gauge: folds away in NoopSink builds
+        // (`sampled` is const false), and on RingSink builds only 1-in-
+        // SAMPLE_EVERY completions touch the shared gauge line.
+        if tss_obs::sampled(t) {
+            obs.note_pending_drain(drained as usize);
+        }
+    }
+
+    /// [`StreamRelease::release`] for a FAILED or POISONED task `t`:
+    /// marks every successor POISONED in `status` *before* counting it
+    /// down, so a successor that becomes ready is observed poisoned by
+    /// whichever worker pops it (the countdown's AcqRel chain plus the
+    /// deque's push/steal protocol carry the byte).
+    fn poison_release(&self, t: u32, status: &[AtomicU8], ready: &mut Vec<u32>) {
+        // Same close as `release`, but the swap's ordering is the
+        // POISON_PUBLISH constant: its release half is what hands `t`'s
+        // FAILED/POISONED status byte to a committer that sees CLOSED
+        // (the §10.3 seeded bug weakens exactly this edge).
+        let mut head = self.pending[t as usize].swap(PENDING_CLOSED, POISON_PUBLISH);
+        while head != PENDING_NIL {
+            // RELAXED: node read after winning the POISON_PUBLISH swap of the pending head; the
+            // swap orders the list
+            let node = self.nodes[head as usize].load(Ordering::Relaxed);
+            let s = node as u32;
+            mark_poisoned(&status[s as usize]);
+            self.countdown(s, ready);
+            head = (node >> 32) as u32;
         }
     }
 }
@@ -562,46 +533,8 @@ enum EdgeFate {
     SatisfiedPoisoned,
 }
 
-impl ReleaseSuccs for StreamRelease {
-    #[inline]
-    fn release(&self, t: u32, ready: &mut Vec<u32>, obs: &SharedObs) {
-        // Close the list: every edge registered up to now is drained
-        // here; every edge registered after sees CLOSED and counts
-        // itself satisfied at the commit (§8 exactly-once handshake).
-        let mut head = self.pending[t as usize].swap(PENDING_CLOSED, Ordering::AcqRel);
-        let mut drained = 0u64;
-        while head != PENDING_NIL {
-            let node = self.nodes[head as usize].load(Ordering::Relaxed);
-            self.countdown(node as u32, ready);
-            drained += 1;
-            head = (node >> 32) as u32;
-        }
-        // Sampled pending-drain gauge: folds away in NoopSink builds
-        // (`sampled` is const false), and on RingSink builds only 1-in-
-        // SAMPLE_EVERY completions touch the shared gauge line.
-        if tss_obs::sampled(t) {
-            obs.note_pending_drain(drained as usize);
-        }
-    }
-
-    fn poison_release(&self, t: u32, status: &[AtomicU8], ready: &mut Vec<u32>) {
-        // Same close as `release`, but the swap's ordering is the
-        // POISON_PUBLISH constant: its release half is what hands `t`'s
-        // FAILED/POISONED status byte to a committer that sees CLOSED
-        // (the §10.3 seeded bug weakens exactly this edge).
-        let mut head = self.pending[t as usize].swap(PENDING_CLOSED, POISON_PUBLISH);
-        while head != PENDING_NIL {
-            let node = self.nodes[head as usize].load(Ordering::Relaxed);
-            let s = node as u32;
-            mark_poisoned(&status[s as usize]);
-            self.countdown(s, ready);
-            head = (node >> 32) as u32;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Shared replay state
+// Shared run state
 // ---------------------------------------------------------------------
 
 /// One worker's deadline-watchdog slot. The worker arms it around each
@@ -624,13 +557,9 @@ impl WatchSlot {
     }
 }
 
-/// Shared replay state (borrowed by every worker via a scoped spawn).
-struct Shared<'a, R: ReleaseSuccs, P: SchedPolicy> {
-    mode: R,
-    /// The scheduling policy (DESIGN.md §13): statically dispatched,
-    /// so the default [`LifoPolicy`] build monomorphizes every hook
-    /// into the pre-§13 inline code.
-    sched: P,
+/// Shared run state (borrowed by every worker via a scoped spawn).
+struct Shared<'a> {
+    release: StreamRelease,
     trace: &'a TaskTrace,
     /// Traced runtimes as a dense SoA column (only populated for spin
     /// payloads): the readiness/dispatch hot path must not drag each
@@ -697,9 +626,13 @@ struct Shared<'a, R: ReleaseSuccs, P: SchedPolicy> {
     retried_ok: CachePadded<AtomicUsize>,
 }
 
-impl<R: ReleaseSuccs, P: SchedPolicy> Shared<'_, R, P> {
-    fn new_for<'t>(trace: &'t TaskTrace, mode: R, cfg: &ExecConfig) -> Shared<'t, R, P> {
+impl Shared<'_> {
+    fn new<'t>(trace: &'t TaskTrace, cfg: &ExecConfig) -> Shared<'t> {
         let n = trace.len();
+        let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
+        // Pre-dedup pair bound: ≤ 1 RaW per read + 1 WaW per write +
+        // readers cleared per write (≤ total reads) — see renamer.rs.
+        let edge_cap = 3 * total_ops + 8;
         let threads = cfg.threads;
         let payload = cfg.payload;
         let runtimes = if matches!(payload, PayloadMode::Spin { .. }) {
@@ -709,9 +642,9 @@ impl<R: ReleaseSuccs, P: SchedPolicy> Shared<'_, R, P> {
         };
         let plan = match payload {
             PayloadMode::Faulty { rate_ppm, seed } => {
-                FaultPlan { rate_ppm, seed, kill_worker: cfg.kill_worker }
+                FaultPlan { rate_ppm, seed, kill_at_ticket: cfg.kill_at_ticket }
             }
-            _ => FaultPlan { rate_ppm: 0, seed: 0, kill_worker: cfg.kill_worker },
+            _ => FaultPlan { rate_ppm: 0, seed: 0, kill_at_ticket: cfg.kill_at_ticket },
         };
         // An armed cancel token counts as a deadline: it needs the
         // watch slots so a firing can stop in-flight payloads, not just
@@ -728,8 +661,7 @@ impl<R: ReleaseSuccs, P: SchedPolicy> Shared<'_, R, P> {
         let t0 = Stamp::now();
         let run_deadline_ns = cfg.run_deadline.map_or(0, |d| (d.as_nanos() as u64).max(1));
         Shared {
-            mode,
-            sched: P::new(trace, payload, threads, cfg.classes, cfg.domains),
+            release: StreamRelease::new(n, edge_cap),
             trace,
             runtimes,
             n,
@@ -811,45 +743,34 @@ impl<R: ReleaseSuccs, P: SchedPolicy> Shared<'_, R, P> {
 /// termination count, and because a failed/poisoned task still only
 /// completes after its producers, the *full* log (completed + failed +
 /// poisoned) stays a valid `DepGraph` linearization.
-fn complete<R: ReleaseSuccs, P: SchedPolicy>(
+fn complete(
     t: u32,
     w: usize,
-    shared: &Shared<'_, R, P>,
+    shared: &Shared<'_>,
     ready: &mut Vec<u32>,
     wobs: &mut WorkerObs,
     poisoned: bool,
 ) {
-    // Policy bookkeeping (load-gauge decay) before the release: every
-    // completed task — poisoned included — balances its dispatch
-    // credit. A no-op for every policy without gauges.
-    shared.sched.note_executed(w, t);
     // Ticket first, successor release second: any successor's ticket is
     // therefore strictly after every producer's (valid linearization).
     // Relaxed suffices: tickets on one counter are totally ordered, and
     // producer-before-successor follows from the release/acquire edge
     // on the readiness counter (§8).
     let ticket = shared.next_ticket.fetch_add(1, Ordering::AcqRel);
+    // RELAXED: order slot uniquely claimed by the AcqRel ticket fetch_add; read only after all
+    // workers joined
     shared.order[ticket].store(t, Ordering::Relaxed);
 
     ready.clear();
     if poisoned {
-        shared.mode.poison_release(t, &shared.status, ready);
+        shared.release.poison_release(t, &shared.status, ready);
     } else {
-        shared.mode.release(t, ready, &shared.obs);
+        shared.release.release(t, ready, &shared.obs);
     }
-    // Policy ordering of the batch (cost sort): dispatched in order,
-    // popped LIFO, so ascending cost runs the costliest first. The
-    // default is the identity and folds away.
-    shared.sched.prepare(ready);
-    let mut routed = 0usize;
     for &s in ready.iter() {
-        // The policy decides where the task goes: the own deque (the
-        // baseline, `own = true`) or a routed side queue (class
-        // routing, `own = false`).
-        let own = shared.sched.dispatch(w, s, &shared.deques[w]);
-        if !own {
-            routed += 1;
-        }
+        // Released tasks go to the completing worker's own deque: it
+        // pops the newest first (depth-first), thieves take the oldest.
+        shared.deques[w].push(s);
         // Sampled spawn instrumentation: a Spawn ring event (the
         // queue-wait anchor, paired with the Task slice at drain) and
         // the deque-depth gauge — one clock read for both. `sampled`
@@ -865,15 +786,6 @@ fn complete<R: ReleaseSuccs, P: SchedPolicy>(
         // into their done() check.
         shared.parker.wake_all();
         wobs.wake(&shared.obs);
-    } else if routed > 0 {
-        // Routed tasks are invisible to the deque/injector scans: only
-        // `take_routed` on the idle path finds them, so flush every
-        // parked worker — the targeted pool must get a chance to look,
-        // and a single wake_one could land on a worker of the wrong
-        // class with a full deque. Unreachable (routed is always 0)
-        // under policies whose `dispatch` is the baseline.
-        shared.parker.wake_all();
-        wobs.wake(&shared.obs);
     } else if ready.len() >= 2 && shared.parker.has_idle() {
         // Surplus banked beyond what this worker immediately runs: one
         // thief's worth of news, one wake — not PR 3's per-completion
@@ -883,15 +795,17 @@ fn complete<R: ReleaseSuccs, P: SchedPolicy>(
     }
 }
 
-fn run_task<R: ReleaseSuccs, P: SchedPolicy>(
+fn run_task(
     t: u32,
     w: usize,
-    shared: &Shared<'_, R, P>,
+    shared: &Shared<'_>,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
     ready: &mut Vec<u32>,
     wobs: &mut WorkerObs,
 ) {
+    // RELAXED: tainted poll; a poisoned task's delivery carries the flag via the countdown/deque
+    // happens-before (DESIGN.md §11.4)
     if shared.guarded || shared.tainted.load(Ordering::Relaxed) != 0 {
         // Chaos, deadlines, or an earlier failure: the guarded lane
         // owns poison checks and the containment state machine.
@@ -933,6 +847,8 @@ fn run_task<R: ReleaseSuccs, P: SchedPolicy>(
         Err(payload) => {
             // First failure of the run: taint (diverting everyone to
             // the guarded lane) and hand this task to the policy.
+            // RELAXED: tainted set on first failure; the failing task's release edges publish it
+            // with the poison (DESIGN.md §11.4)
             shared.tainted.store(1, Ordering::Relaxed);
             let failure = TaskFailure::Panicked { message: panic_message(&*payload) };
             resolve_failure(t, w, shared, scratch, stats, ready, wobs, 1, failure);
@@ -943,10 +859,10 @@ fn run_task<R: ReleaseSuccs, P: SchedPolicy>(
 /// The guarded lane: poison check, fault injection, deadline watch, and
 /// the attempt loop. Split from [`run_task`] so the fault-free fast
 /// lane never pays for any of it.
-fn run_task_guarded<R: ReleaseSuccs, P: SchedPolicy>(
+fn run_task_guarded(
     t: u32,
     w: usize,
-    shared: &Shared<'_, R, P>,
+    shared: &Shared<'_>,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
     ready: &mut Vec<u32>,
@@ -964,12 +880,15 @@ fn run_task_guarded<R: ReleaseSuccs, P: SchedPolicy>(
         Ok(()) => {
             stats.executed += 1;
             if !shared.retry_hist.is_empty() {
+                // RELAXED: retry histogram counter; aggregated after all workers joined
                 shared.retry_hist[0].fetch_add(1, Ordering::Relaxed);
             }
             complete(t, w, shared, ready, wobs, false);
             wobs.task_end(t, tb, &shared.obs);
         }
         Err(AttemptError::Failed(failure)) => {
+            // RELAXED: tainted set on first failure; the failing task's release edges publish it
+            // with the poison (DESIGN.md §11.4)
             shared.tainted.store(1, Ordering::Relaxed);
             resolve_failure(t, w, shared, scratch, stats, ready, wobs, 1, failure);
         }
@@ -989,11 +908,11 @@ enum AttemptError {
 
 /// Runs one payload attempt inside the containment boundary, with
 /// injection and deadline watching. `attempt` is 1-based.
-fn attempt_payload<R: ReleaseSuccs, P: SchedPolicy>(
+fn attempt_payload(
     t: u32,
     attempt: u32,
     w: usize,
-    shared: &Shared<'_, R, P>,
+    shared: &Shared<'_>,
     scratch: &mut PayloadScratch<'_>,
 ) -> Result<(), AttemptError> {
     let injected = shared.plan.effective(t, attempt, shared.task_deadline.is_some());
@@ -1040,6 +959,8 @@ fn attempt_payload<R: ReleaseSuccs, P: SchedPolicy>(
             return Err(AttemptError::Aborted);
         }
         let started = Stamp::now();
+        // RELAXED: cancel reset while the slot is disarmed; the Release deadline_ns arm store
+        // publishes it to the watchdog
         slot.cancel.store(0, Ordering::Relaxed);
         if let Some(dl) = shared.task_deadline {
             let abs = shared.t0.elapsed() + dl;
@@ -1085,10 +1006,10 @@ fn attempt_payload<R: ReleaseSuccs, P: SchedPolicy>(
 /// failed with `failure`: retries (with seeded backoff) while attempts
 /// remain, then fail-fasts or quarantines.
 #[allow(clippy::too_many_arguments)]
-fn resolve_failure<R: ReleaseSuccs, P: SchedPolicy>(
+fn resolve_failure(
     t: u32,
     w: usize,
-    shared: &Shared<'_, R, P>,
+    shared: &Shared<'_>,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
     ready: &mut Vec<u32>,
@@ -1106,8 +1027,10 @@ fn resolve_failure<R: ReleaseSuccs, P: SchedPolicy>(
         match attempt_payload(t, attempt, w, shared, scratch) {
             Ok(()) => {
                 stats.executed += 1;
+                // RELAXED: retried-ok counter; aggregated after all workers joined
                 shared.retried_ok.fetch_add(1, Ordering::Relaxed);
                 if !shared.retry_hist.is_empty() {
+                    // RELAXED: retry histogram counter; aggregated after all workers joined
                     shared.retry_hist[(attempt - 1) as usize].fetch_add(1, Ordering::Relaxed);
                 }
                 complete(t, w, shared, ready, wobs, false);
@@ -1126,6 +1049,7 @@ fn resolve_failure<R: ReleaseSuccs, P: SchedPolicy>(
         failures.push(FailedTask { task: t, attempts: attempt, failure });
     }
     if !shared.retry_hist.is_empty() {
+        // RELAXED: retry histogram counter; aggregated after all workers joined
         shared.retry_hist[(attempt - 1) as usize].fetch_add(1, Ordering::Relaxed);
     }
     match shared.policy {
@@ -1138,11 +1062,23 @@ fn resolve_failure<R: ReleaseSuccs, P: SchedPolicy>(
             // FAILED is stored before `complete`'s poison_release
             // closes the pending list, so the §11 publish hands the
             // byte to any later window commit.
+            // RELAXED: FAILED byte store; published by the subsequent POISON_PUBLISH pending-close
+            // or countdown chain (DESIGN.md §11.2)
             shared.status[t as usize].store(FAILED, Ordering::Relaxed);
             complete(t, w, shared, ready, wobs, true);
             wobs.task_poisoned(t, &shared.obs);
         }
     }
+}
+
+/// Tiny SplitMix64 for the steal-victim rotation.
+#[inline]
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// How a worker thread left the run. Either way it hands back its
@@ -1156,12 +1092,7 @@ enum WorkerExit {
     Killed(WorkerStats, WorkerObs),
 }
 
-fn worker_loop<R: ReleaseSuccs, P: SchedPolicy>(
-    w: usize,
-    shared: &Shared<'_, R, P>,
-    arena: &[u8],
-    seed: u64,
-) -> WorkerExit {
+fn worker_loop(w: usize, shared: &Shared<'_>, arena: &[u8], seed: u64) -> WorkerExit {
     let mut stats = WorkerStats::default();
     let mut wobs = WorkerObs::new();
     // The whole-worker span guarantees every worker track carries at
@@ -1171,15 +1102,20 @@ fn worker_loop<R: ReleaseSuccs, P: SchedPolicy>(
     let mut ready: Vec<u32> = Vec::with_capacity(64);
     let mut rng = seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
     let me = &shared.deques[w];
-    // Victim scan order, refilled by the policy each idle scan (reused
-    // so the steady state allocates nothing).
-    let mut victims: Vec<usize> = Vec::with_capacity(shared.deques.len());
-    // Injected worker loss: die *between* tasks after the first
-    // completion — a clean kill (ticket taken, successors released), so
-    // the run still terminates; only the parallelism degrades.
-    let kill_after: u64 = match shared.plan.kill_worker {
-        Some(k) if k == w => 1,
-        _ => u64::MAX,
+    let threads = shared.deques.len();
+    // Victim scan order, refilled each idle scan (reused so the steady
+    // state allocates nothing).
+    let mut victims: Vec<usize> = Vec::with_capacity(threads);
+    // Injected worker loss: the worker whose task took completion
+    // ticket K dies right after that completion — a clean kill (ticket
+    // taken, successors released), so the run still terminates; only
+    // the parallelism degrades. Keyed on the ticket, not on timing, so
+    // exactly one worker dies in every run that reaches ticket K.
+    let kill_slot = shared.plan.kill_at_ticket.and_then(|k| shared.order.get(k));
+    let took_kill_ticket = move |t: u32| {
+        // RELAXED: order[K] is stored once, by the ticket's taker; only the taker can read its own
+        // task id back here, every other worker sees another id or the unset sentinel
+        kill_slot.is_some_and(|slot| slot.load(Ordering::Relaxed) == t)
     };
 
     loop {
@@ -1188,22 +1124,23 @@ fn worker_loop<R: ReleaseSuccs, P: SchedPolicy>(
         // clocked as one span: two clock reads however many tasks
         // drain, and the Burst ring event reuses exactly those two
         // stamps (zero extra reads, DESIGN.md §12.3).
-        if let Some(t) = shared.sched.take_local(w, me) {
+        if let Some(mut t) = me.pop() {
             let burst = Stamp::now();
             let before = stats.executed;
-            run_task(t, w, shared, &mut scratch, &mut stats, &mut ready, &mut wobs);
-            while stats.executed < kill_after {
-                match shared.sched.take_local(w, me) {
-                    Some(t) => {
-                        run_task(t, w, shared, &mut scratch, &mut stats, &mut ready, &mut wobs)
-                    }
+            loop {
+                run_task(t, w, shared, &mut scratch, &mut stats, &mut ready, &mut wobs);
+                if took_kill_ticket(t) {
+                    break;
+                }
+                match me.pop() {
+                    Some(next) => t = next,
                     None => break,
                 }
             }
             let end = Stamp::now();
             stats.busy += end.since(burst);
             wobs.burst(burst, end, stats.executed - before, &shared.obs);
-            if stats.executed >= kill_after {
+            if took_kill_ticket(t) {
                 // Leave abandoned work visible: wake everyone so the
                 // survivors rescan and adopt this deque.
                 shared.parker.wake_all();
@@ -1217,29 +1154,22 @@ fn worker_loop<R: ReleaseSuccs, P: SchedPolicy>(
         // Epoch before the scans: any push after a failed scan moves
         // the epoch and aborts the park (§8 Dekker pairing).
         let epoch = shared.parker.current_epoch();
-        let task = shared
-            .sched
-            .take_routed(w)
-            .or_else(|| shared.injector.steal_batch_into(me, BATCH_MAX))
-            .or_else(|| {
-                // The policy orders the victim scan (baseline: one
-                // random rotation over everyone else; locality: own
-                // domain first, cross-domain fallback after). The scan
-                // stays *complete* — every deque is visited — which
-                // the park/termination argument requires (§13.4).
-                shared.sched.victims(w, &mut rng, &mut victims);
-                victims.iter().find_map(|&victim| {
-                    let t = shared.deques[victim].steal_batch_into(me, BATCH_MAX);
-                    if t.is_some() {
-                        stats.steals += 1;
-                        if shared.sched.cross_domain(w, victim) {
-                            stats.cross_steals += 1;
-                        }
-                        wobs.steal(victim as u32, &shared.obs);
-                    }
-                    t
-                })
-            });
+        let task = shared.injector.steal_batch_into(me, BATCH_MAX).or_else(|| {
+            // One seeded random rotation over every other worker. The
+            // scan stays *complete* — every deque is visited — which
+            // the park/termination argument requires (§8).
+            if threads > 1 {
+                rotate_victims(w, threads, splitmix(&mut rng), &mut victims);
+            }
+            victims.iter().find_map(|&victim| {
+                let t = shared.deques[victim].steal_batch_into(me, BATCH_MAX);
+                if t.is_some() {
+                    stats.steals += 1;
+                    wobs.steal(victim as u32, &shared.obs);
+                }
+                t
+            })
+        });
         match task {
             Some(t) => {
                 // A successful batch steal banked surplus: chain one
@@ -1254,7 +1184,7 @@ fn worker_loop<R: ReleaseSuccs, P: SchedPolicy>(
                 let end = Stamp::now();
                 stats.busy += end.since(burst);
                 wobs.burst(burst, end, stats.executed - before, &shared.obs);
-                if stats.executed >= kill_after {
+                if took_kill_ticket(t) {
                     shared.parker.wake_all();
                     wobs.worker_span(w as u32, span, &shared.obs);
                     return WorkerExit::Killed(stats, wobs);
@@ -1279,7 +1209,7 @@ fn worker_loop<R: ReleaseSuccs, P: SchedPolicy>(
 /// deadlines) that cancels expired attempts and aborts the run past its
 /// deadline. Spawned only when a deadline is armed; exits as soon as
 /// the run stops.
-fn watchdog_loop<R: ReleaseSuccs, P: SchedPolicy>(shared: &Shared<'_, R, P>) {
+fn watchdog_loop(shared: &Shared<'_>) {
     loop {
         if shared.stopping() {
             return;
@@ -1391,11 +1321,7 @@ impl<'a> DecodeShared<'a> {
     /// cursor. Called by whichever shard thread finished a window last;
     /// the commit mutex makes the committer role migrate safely (the
     /// injector's owner contract rides the same lock).
-    fn commit_ready<P: SchedPolicy>(
-        &self,
-        shared: &Shared<'_, StreamRelease, P>,
-        dobs: &mut WorkerObs,
-    ) {
+    fn commit_ready(&self, shared: &Shared<'_>, dobs: &mut WorkerObs) {
         let mut st = self.commit.lock().expect("commit state poisoned");
         let mut pushed_roots = false;
         while st.next_window < self.windows {
@@ -1418,7 +1344,7 @@ impl<'a> DecodeShared<'a> {
                 for &p in preds {
                     let idx = node_cursor as u32;
                     node_cursor += 1;
-                    match shared.mode.register_edge(idx, p, s, &shared.status) {
+                    match shared.release.register_edge(idx, p, s, &shared.status) {
                         EdgeFate::Registered => {}
                         EdgeFate::SatisfiedHealthy => {
                             satisfied += 1;
@@ -1439,7 +1365,7 @@ impl<'a> DecodeShared<'a> {
                 // Publish: fold the sentinel away. Whichever atomic op
                 // lands the counter exactly on zero owns the push.
                 let delta = preds.len() as i32 - satisfied as i32 - UNPUBLISHED;
-                let old = shared.mode.unready[s as usize].fetch_add(delta, Ordering::AcqRel);
+                let old = shared.release.unready[s as usize].fetch_add(delta, Ordering::AcqRel);
                 if old + delta == 0 {
                     shared.injector.push(s);
                     pushed_roots = true;
@@ -1461,6 +1387,8 @@ impl<'a> DecodeShared<'a> {
             // block folds away in NoopSink builds.
             if tss_obs::ENABLED {
                 dobs.commit(w as u32, &shared.obs);
+                // RELAXED: commit-lag gauge sample of the ticket counter; advisory observability
+                // snapshot, never a correctness input (DESIGN.md §12.3)
                 let lag = hi.saturating_sub(shared.next_ticket.load(Ordering::Relaxed));
                 shared.obs.note_commit_lag(lag as u64);
             }
@@ -1469,6 +1397,8 @@ impl<'a> DecodeShared<'a> {
         drop(st);
         if finished {
             let ns = self.started.elapsed().as_nanos() as u64;
+            // RELAXED: decode-span metric fetch_max; diagnostic timing only, never a correctness
+            // input
             self.decode_span_ns.fetch_max(ns, Ordering::Relaxed);
         }
         if pushed_roots {
@@ -1482,11 +1412,11 @@ impl<'a> DecodeShared<'a> {
 /// One decode shard thread: scan every window (in order — the shard's
 /// rename state is sequential), commit whenever this shard is the last
 /// to finish a window.
-fn decode_loop<P: SchedPolicy>(
+fn decode_loop(
     shard: usize,
     renaming: bool,
     dec: &DecodeShared<'_>,
-    shared: &Shared<'_, StreamRelease, P>,
+    shared: &Shared<'_>,
 ) -> (RenameStats, WorkerObs) {
     let mut dobs = WorkerObs::new();
     let mut state = ShardState::new(renaming, shard as u32, dec.shards as u32);
@@ -1522,7 +1452,6 @@ fn decode_loop<P: SchedPolicy>(
 ///     .expect("replay failed");
 /// assert_eq!(report.tasks, trace.len());
 /// assert!(report.validated);
-/// assert!(report.streaming);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
@@ -1535,19 +1464,16 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if `config.threads` is zero, or if `kill_worker` is set
-    /// with fewer than two workers / an out-of-range index (a lone
-    /// killed worker could never finish the run).
+    /// Panics if `config.threads` is zero, or if `kill_at_ticket` is
+    /// set with fewer than two workers (a lone killed worker could
+    /// never finish the run).
     pub fn new(mut config: ExecConfig) -> Self {
         assert!(config.threads >= 1, "the executor needs at least one worker");
-        if let Some(k) = config.kill_worker {
-            assert!(config.threads >= 2, "kill_worker needs at least two workers");
-            assert!(k < config.threads, "kill_worker index out of range");
+        if config.kill_at_ticket.is_some() {
+            assert!(config.threads >= 2, "kill_at_ticket needs at least two workers");
         }
         config.window = config.window.max(1);
         config.decode_shards = config.decode_shards.max(1);
-        config.classes = config.classes.clamp(1, crate::payload::NUM_CLASSES);
-        config.domains = config.domains.clamp(1, config.threads);
         Executor { config }
     }
 
@@ -1568,27 +1494,10 @@ impl Executor {
     /// Task failures under `Retry`/`Quarantine` are *not* errors: they
     /// come back inside [`ExecReport::fault`].
     pub fn run(&self, trace: &TaskTrace) -> Result<ExecReport, ExecError> {
-        // The one policy dispatch of the run (DESIGN.md §13.1): each
-        // arm monomorphizes the entire pipeline — worker loop, decode
-        // commit, finish — over its policy type. No `dyn` anywhere.
-        match self.config.sched {
-            SchedKind::Lifo => self.run_inner::<LifoPolicy>(trace),
-            SchedKind::Fifo => self.run_inner::<FifoPolicy>(trace),
-            SchedKind::CostAware => self.run_inner::<CostAwarePolicy>(trace),
-            SchedKind::Locality => self.run_inner::<LocalityPolicy>(trace),
-        }
-    }
-
-    fn run_inner<P: SchedPolicy>(&self, trace: &TaskTrace) -> Result<ExecReport, ExecError> {
         let n = trace.len();
         let threads = self.config.threads;
         let shards = self.config.decode_shards;
-        let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
-        // Pre-dedup pair bound: ≤ 1 RaW per read + 1 WaW per write +
-        // readers cleared per write (≤ total reads) — see renamer.rs.
-        let edge_cap = 3 * total_ops + 8;
-        let shared: Shared<'_, _, P> =
-            Shared::new_for(trace, StreamRelease::new(n, edge_cap), &self.config);
+        let shared = Shared::new(trace, &self.config);
         let arena = self.arena();
         // Constructed last: `dec.started` anchors the decode span, so
         // nothing non-decode (notably the memcpy arena build) may sit
@@ -1666,127 +1575,15 @@ impl Executor {
         }
         let exec_wall = t0.elapsed();
         rename.enforced_edges = dec.commit.lock().expect("commit state poisoned").edges;
+        // RELAXED: decode-span metric read after decode threads joined
         let decode_wall = Duration::from_nanos(dec.decode_span_ns.load(Ordering::Relaxed));
         let overlap = if exec_wall.as_secs_f64() > 0.0 {
             100.0 * decode_wall.as_secs_f64().min(exec_wall.as_secs_f64()) / exec_wall.as_secs_f64()
         } else {
             0.0
         };
-        let extras = FinishExtras {
-            decode_wall,
-            exec_wall,
-            overlap,
-            streaming: true,
-            workers_lost,
-            worker_obs,
-            decode_obs,
-        };
-        self.finish(trace, shared, extras, workers, rename)
-    }
-
-    /// PR 3's two-phase shape: decode the whole trace first (timed as a
-    /// pure serial phase), then replay it. This is the
-    /// apples-to-apples *replay throughput* measurement — decode is
-    /// excluded from `exec_wall` — and the fixed-graph shape the
-    /// microbenches need.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::run`].
-    pub fn run_oneshot(&self, trace: &TaskTrace) -> Result<ExecReport, ExecError> {
-        let t0 = Stamp::now();
-        let graph = Renamer::new().renaming(self.config.renaming).decode(trace);
-        let decode_wall = t0.elapsed();
-        self.replay(trace, &graph, decode_wall)
-    }
-
-    /// Replays an already-decoded graph (one-shot mode without paying
-    /// the decode: benchmark loops hoist it).
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::run`].
-    pub fn replay(
-        &self,
-        trace: &TaskTrace,
-        graph: &TaskGraph,
-        decode_wall: Duration,
-    ) -> Result<ExecReport, ExecError> {
-        match self.config.sched {
-            SchedKind::Lifo => self.replay_inner::<LifoPolicy>(trace, graph, decode_wall),
-            SchedKind::Fifo => self.replay_inner::<FifoPolicy>(trace, graph, decode_wall),
-            SchedKind::CostAware => self.replay_inner::<CostAwarePolicy>(trace, graph, decode_wall),
-            SchedKind::Locality => self.replay_inner::<LocalityPolicy>(trace, graph, decode_wall),
-        }
-    }
-
-    fn replay_inner<P: SchedPolicy>(
-        &self,
-        trace: &TaskTrace,
-        graph: &TaskGraph,
-        decode_wall: Duration,
-    ) -> Result<ExecReport, ExecError> {
-        assert_eq!(graph.len(), trace.len(), "graph decoded from a different trace");
-        let threads = self.config.threads;
-        let shared: Shared<'_, _, P> =
-            Shared::new_for(trace, PrebuiltRelease::new(graph), &self.config);
-        for r in graph.roots() {
-            shared.injector.push(r as u32);
-            // No Spawn events for roots: they are pushed from the main
-            // thread before any worker (and its ring) exists, so their
-            // queue wait goes unmeasured — sampling loss, not bias
-            // (DESIGN.md §12.3).
-        }
-        let arena = self.arena();
-
-        let t0 = Stamp::now();
-        let mut workers = vec![WorkerStats::default(); threads];
-        let mut worker_obs: Vec<WorkerObs> = (0..threads).map(|_| WorkerObs::new()).collect();
-        let mut workers_lost = 0usize;
-        if !graph.is_empty() {
-            std::thread::scope(|scope| {
-                if shared.watchdog_armed() {
-                    let shared = &shared;
-                    scope.spawn(move || watchdog_loop(shared));
-                }
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let shared = &shared;
-                        let arena = &arena[..];
-                        let seed = self.config.seed;
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| worker_loop(w, shared, arena, seed)))
-                                .map_err(|p| shared.note_infra_panic(panic_message(&*p)))
-                        })
-                    })
-                    .collect();
-                for (w, h) in handles.into_iter().enumerate() {
-                    match h.join() {
-                        Ok(Ok(WorkerExit::Finished(stats, wobs))) => {
-                            workers[w] = stats;
-                            worker_obs[w] = wobs;
-                        }
-                        Ok(Ok(WorkerExit::Killed(stats, wobs))) => {
-                            workers[w] = stats;
-                            worker_obs[w] = wobs;
-                            workers_lost += 1;
-                        }
-                        Ok(Err(())) | Err(_) => workers_lost += 1,
-                    }
-                }
-            });
-        }
-        let exec_wall = t0.elapsed();
-        let rename = *graph.stats();
-        let extras = FinishExtras {
-            decode_wall,
-            exec_wall,
-            overlap: 0.0,
-            streaming: false,
-            workers_lost,
-            worker_obs,
-            decode_obs: Vec::new(),
-        };
+        let extras =
+            FinishExtras { decode_wall, exec_wall, overlap, workers_lost, worker_obs, decode_obs };
         self.finish(trace, shared, extras, workers, rename)
     }
 
@@ -1800,23 +1597,16 @@ impl Executor {
         }
     }
 
-    fn finish<R: ReleaseSuccs, P: SchedPolicy>(
+    fn finish(
         &self,
         trace: &TaskTrace,
-        shared: Shared<'_, R, P>,
+        shared: Shared<'_>,
         extras: FinishExtras,
         workers: Vec<WorkerStats>,
         rename: RenameStats,
     ) -> Result<ExecReport, ExecError> {
-        let FinishExtras {
-            decode_wall,
-            exec_wall,
-            overlap,
-            streaming,
-            workers_lost,
-            worker_obs,
-            decode_obs,
-        } = extras;
+        let FinishExtras { decode_wall, exec_wall, overlap, workers_lost, worker_obs, decode_obs } =
+            extras;
         // Error resolution order: infrastructure death first (nothing
         // else is trustworthy after an executor-bug panic), then the
         // run deadline, then a fail-fast task failure.
@@ -1848,6 +1638,7 @@ impl Executor {
             return Err(ExecError::WorkerPanic { message: "run aborted without a cause".into() });
         }
         let order: Vec<TaskId> =
+            // RELAXED: order slots read after all workers joined
             shared.order.iter().map(|s| s.load(Ordering::Relaxed) as TaskId).collect();
         assert_eq!(order.len(), trace.len(), "executor lost tasks");
         let validated = self.config.validate;
@@ -1862,13 +1653,16 @@ impl Executor {
             }
         }
         let poisoned: Vec<u32> = (0..shared.n as u32)
+            // RELAXED: final status-array scan after all workers joined
             .filter(|&t| shared.status[t as usize].load(Ordering::Relaxed) == POISONED)
             .collect();
         let retry_hist: Vec<u64> =
+            // RELAXED: retry histogram read after all workers joined
             shared.retry_hist.iter().map(|h| h.load(Ordering::Relaxed)).collect();
         let fault = FaultReport {
             failed,
             poisoned,
+            // RELAXED: retried-ok read after all workers joined
             retried_ok: shared.retried_ok.load(Ordering::Relaxed),
             retry_hist: if retry_hist.len() > 1 { retry_hist } else { Vec::new() },
             workers_lost,
@@ -1885,8 +1679,7 @@ impl Executor {
             decode_wall,
             exec_wall,
             decode_overlap_pct: overlap,
-            streaming,
-            decode_shards: if streaming { self.config.decode_shards } else { 1 },
+            decode_shards: self.config.decode_shards,
             order,
             workers,
             rename,
@@ -1897,26 +1690,16 @@ impl Executor {
     }
 }
 
-/// Mode-specific run measurements handed to `finish`.
+/// Run measurements handed to `finish`.
 struct FinishExtras {
     decode_wall: Duration,
     exec_wall: Duration,
     overlap: f64,
-    streaming: bool,
     workers_lost: usize,
     /// Per-worker observability sinks, in worker order.
     worker_obs: Vec<WorkerObs>,
-    /// Per-decode-shard sinks (empty for one-shot replays).
+    /// Per-decode-shard sinks.
     decode_obs: Vec<WorkerObs>,
-}
-
-/// Convenience: stream with defaults, returning the report.
-///
-/// # Errors
-///
-/// As [`Executor::run`].
-pub fn run_trace(trace: &TaskTrace, threads: usize) -> Result<ExecReport, ExecError> {
-    Executor::new(ExecConfig { threads, ..ExecConfig::default() }).run(trace)
 }
 
 /// Re-exported for harness use: classifies a completion log against an
@@ -1928,6 +1711,7 @@ pub fn check_order(trace: &TaskTrace, order: &[TaskId]) -> Result<(), OrderViola
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::renamer::Renamer;
     use tss_trace::{OperandDesc, TaskTrace};
 
     fn diamond() -> TaskTrace {
@@ -1941,45 +1725,34 @@ mod tests {
         tr
     }
 
+    /// Runs `trace` with the default configuration on `threads` workers.
+    fn run_on(trace: &TaskTrace, threads: usize) -> ExecReport {
+        Executor::new(ExecConfig { threads, ..ExecConfig::default() })
+            .run(trace)
+            .expect("run failed")
+    }
+
     #[test]
-    fn replays_a_diamond_in_dependency_order() {
+    fn runs_a_diamond_in_dependency_order() {
         for threads in [1, 2, 4] {
-            let report = run_trace(&diamond(), threads).expect("diamond replay failed");
+            let report = run_on(&diamond(), threads);
             assert_eq!(report.tasks, 4);
             assert_eq!(report.order[0], 0);
             assert_eq!(report.order[3], 3);
             assert!(report.validated);
-            assert!(report.streaming);
             let executed: u64 = report.workers.iter().map(|w| w.executed).sum();
             assert_eq!(executed, 4);
+            assert!(!report.fault.any(), "clean run reported failure activity");
+            assert!(report.accounting_reconciles());
         }
-    }
-
-    #[test]
-    fn oneshot_replays_the_diamond_too() {
-        let cfg = ExecConfig { threads: 2, ..ExecConfig::default() };
-        let report = Executor::new(cfg).run_oneshot(&diamond()).expect("oneshot failed");
-        assert_eq!(report.tasks, 4);
-        assert_eq!(report.order[0], 0);
-        assert!(!report.streaming);
-        assert_eq!(report.decode_overlap_pct, 0.0);
-        assert!(!report.fault.any(), "clean run reported failure activity");
-        assert!(report.accounting_reconciles());
     }
 
     #[test]
     fn empty_trace_is_a_clean_noop() {
-        for streaming in [true, false] {
-            let exec = Executor::new(ExecConfig { threads: 2, ..ExecConfig::default() });
-            let report = if streaming {
-                exec.run(&TaskTrace::new("empty")).expect("empty run failed")
-            } else {
-                exec.run_oneshot(&TaskTrace::new("empty")).expect("empty oneshot failed")
-            };
-            assert_eq!(report.tasks, 0);
-            assert!(report.order.is_empty());
-            assert_eq!(report.tasks_per_sec(), 0.0);
-        }
+        let report = run_on(&TaskTrace::new("empty"), 2);
+        assert_eq!(report.tasks, 0);
+        assert!(report.order.is_empty());
+        assert_eq!(report.tasks_per_sec(), 0.0);
     }
 
     #[test]
@@ -1995,7 +1768,7 @@ mod tests {
         for i in 0..200u64 {
             tr.push_task(k, 10, vec![OperandDesc::output(0x1000 + i * 64, 64)]);
         }
-        let report = run_trace(&tr, 4).expect("independent replay failed");
+        let report = run_on(&tr, 4);
         assert_eq!(report.tasks, 200);
         let mut seen = report.order.clone();
         seen.sort_unstable();
@@ -2049,8 +1822,7 @@ mod tests {
             tr.push_task(k, 10, vec![OperandDesc::output(0x1000 + i * 64, 64)]);
         }
         for threads in [1, 2] {
-            let exec = Executor::new(ExecConfig { threads, ..ExecConfig::default() });
-            let report = exec.run_oneshot(&tr).expect("busy replay failed");
+            let report = run_on(&tr, threads);
             assert!(report.workers.iter().any(|w| w.executed > 0));
             for (w, ws) in report.workers.iter().enumerate() {
                 if ws.executed > 0 {
@@ -2067,7 +1839,7 @@ mod tests {
 
     #[test]
     fn report_rates_are_sane() {
-        let report = run_trace(&diamond(), 2).expect("diamond replay failed");
+        let report = run_on(&diamond(), 2);
         assert!(report.tasks_per_sec() > 0.0);
         assert!(report.utilization(0) >= 0.0);
         assert!((0.0..=100.0).contains(&report.decode_overlap_pct));
@@ -2138,20 +1910,15 @@ mod tests {
         let seed = seed_failing_only_task0(rate, 5);
         let tr = diamond_plus_loner();
         for threads in [1, 2, 4] {
-            for streaming in [true, false] {
-                let cfg =
-                    ExecConfig { threads, ..chaos_cfg(rate, seed, FailurePolicy::Quarantine) };
-                let exec = Executor::new(cfg);
-                let report = if streaming { exec.run(&tr) } else { exec.run_oneshot(&tr) }
-                    .expect("quarantine run aborted");
-                assert_eq!(report.fault.failed.len(), 1);
-                assert_eq!(report.fault.failed[0].task, 0);
-                assert_eq!(report.fault.poisoned, vec![1, 2, 3], "cone mismatch");
-                assert_eq!(report.completed(), 1, "the loner still runs");
-                assert!(report.fault.retry_hist.is_empty());
-                assert!(report.accounting_reconciles());
-                assert!(report.validated, "full log (incl. poisoned) passed the oracle");
-            }
+            let cfg = ExecConfig { threads, ..chaos_cfg(rate, seed, FailurePolicy::Quarantine) };
+            let report = Executor::new(cfg).run(&tr).expect("quarantine run aborted");
+            assert_eq!(report.fault.failed.len(), 1);
+            assert_eq!(report.fault.failed[0].task, 0);
+            assert_eq!(report.fault.poisoned, vec![1, 2, 3], "cone mismatch");
+            assert_eq!(report.completed(), 1, "the loner still runs");
+            assert!(report.fault.retry_hist.is_empty());
+            assert!(report.accounting_reconciles());
+            assert!(report.validated, "full log (incl. poisoned) passed the oracle");
         }
     }
 
@@ -2191,45 +1958,43 @@ mod tests {
 
     #[test]
     fn killed_worker_deque_is_adopted_and_the_run_completes() {
+        // A fan-out: the root's completion releases 399 successors into
+        // the completing worker's deque (or, if decode is still behind,
+        // the injector). Keyed on ticket 0, the kill takes exactly the
+        // worker that completed the root, right after that release — on
+        // any core count — and the survivor must adopt what it left.
         let mut tr = TaskTrace::new("kill");
         let k = tr.add_kernel("k");
-        for i in 0..400u64 {
-            tr.push_task(k, 3200, vec![OperandDesc::output(0x1000 + i * 64, 64)]);
-            // 1 µs
+        tr.push_task(k, 10, vec![OperandDesc::output(0x1000, 64)]);
+        for _ in 1..400 {
+            tr.push_task(k, 10, vec![OperandDesc::input(0x1000, 64)]);
         }
-        for streaming in [true, false] {
-            // The kill fires after the victim's first *completed* task;
-            // on a fast host the other workers can occasionally drain
-            // everything before worker 1 ever runs one, so retry the
-            // run until the kill landed (the spin payload makes the
-            // first try overwhelmingly likely).
-            let mut fired = false;
-            for _ in 0..16 {
-                let cfg = ExecConfig {
-                    threads: 2,
-                    kill_worker: Some(1),
-                    payload: PayloadMode::Spin { time_scale: 1.0 },
-                    ..ExecConfig::default()
-                };
-                let exec = Executor::new(cfg);
-                let report = if streaming { exec.run(&tr) } else { exec.run_oneshot(&tr) }
-                    .expect("degraded run failed");
-                assert_eq!(report.completed(), 400, "run lost tasks");
-                assert!(report.accounting_reconciles());
-                if report.fault.workers_lost == 1 {
-                    fired = true;
-                    break;
-                }
-            }
-            assert!(fired, "injected kill never fired in 16 runs (streaming={streaming})");
+        for threads in [2, 3] {
+            let cfg = ExecConfig { threads, kill_at_ticket: Some(0), ..ExecConfig::default() };
+            let report = Executor::new(cfg).run(&tr).expect("degraded run failed");
+            assert_eq!(report.fault.workers_lost, 1, "exactly one worker dies ({threads} threads)");
+            assert_eq!(report.order[0], 0);
+            assert_eq!(report.completed(), 400, "run lost tasks");
+            assert!(report.accounting_reconciles());
         }
     }
 
     #[test]
-    #[should_panic(expected = "kill_worker")]
+    fn kill_past_the_last_ticket_loses_no_worker() {
+        let cfg = ExecConfig { threads: 2, kill_at_ticket: Some(4), ..ExecConfig::default() };
+        let report = Executor::new(cfg).run(&diamond()).expect("run failed");
+        assert_eq!(report.fault.workers_lost, 0);
+        assert_eq!(report.completed(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "kill_at_ticket")]
     fn kill_worker_requires_a_second_worker() {
-        let _ =
-            Executor::new(ExecConfig { threads: 1, kill_worker: Some(0), ..ExecConfig::default() });
+        let _ = Executor::new(ExecConfig {
+            threads: 1,
+            kill_at_ticket: Some(0),
+            ..ExecConfig::default()
+        });
     }
 
     #[test]
@@ -2423,6 +2188,8 @@ mod model_tests {
             let (sr2, st2) = (sr.clone(), status.clone());
             let producer = thread::spawn(move || {
                 // The resolve_failure shape: FAILED first, close second.
+                // RELAXED: model test: producer-side plain store; the poison_release close under
+                // test provides the publish edge
                 st2[0].store(FAILED, Ordering::Relaxed);
                 let mut ready = Vec::new();
                 sr2.poison_release(0, &st2, &mut ready);
@@ -2434,6 +2201,7 @@ mod model_tests {
                     // The drain owned the edge: it must have poisoned
                     // the successor on its way through.
                     assert_eq!(
+                        // RELAXED: model test: assertion read after the producer joined
                         status[1].load(Ordering::Relaxed),
                         POISONED,
                         "drain missed a registered edge"

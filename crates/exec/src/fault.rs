@@ -217,15 +217,15 @@ pub struct FaultPlan {
     pub rate_ppm: u32,
     /// Seed for fault rolls and retry backoff jitter.
     pub seed: u64,
-    /// Worker index whose thread is killed after its first task
-    /// completes (exercises the worker-loss/deque-adoption path).
-    pub kill_worker: Option<usize>,
+    /// Completion ticket whose taker's thread is killed right after
+    /// that completion (exercises the worker-loss/deque-adoption path).
+    pub kill_at_ticket: Option<usize>,
 }
 
 impl FaultPlan {
     /// True when any chaos mechanism is armed.
     pub fn enabled(&self) -> bool {
-        self.rate_ppm > 0 || self.kill_worker.is_some()
+        self.rate_ppm > 0 || self.kill_at_ticket.is_some()
     }
 
     /// The deterministic fault roll for one `(task, attempt)`.
@@ -352,7 +352,7 @@ mod tests {
     fn plan_enabled_logic() {
         assert!(!FaultPlan::default().enabled());
         assert!(FaultPlan { rate_ppm: 1, ..Default::default() }.enabled());
-        assert!(FaultPlan { kill_worker: Some(0), ..Default::default() }.enabled());
+        assert!(FaultPlan { kill_at_ticket: Some(0), ..Default::default() }.enabled());
     }
 
     #[test]

@@ -59,17 +59,13 @@ pub mod executor;
 pub mod fault;
 pub mod payload;
 pub mod renamer;
-pub mod sched;
 pub mod sync;
 
 pub use deque::ChaseLev;
-pub use executor::{run_trace, CancelToken, ExecConfig, ExecReport, Executor, WorkerStats};
+pub use executor::{CancelToken, ExecConfig, ExecReport, Executor, WorkerStats};
 pub use fault::{ExecError, FailedTask, FailurePolicy, FaultReport, InjectedFault, TaskFailure};
 pub use payload::PayloadMode;
 pub use renamer::{RenameStats, Renamer, StreamingRenamer, TaskGraph};
-pub use sched::{
-    CostAwarePolicy, FifoPolicy, LifoPolicy, LocalityPolicy, SchedKind, SchedPolicy, SCHED_MENU,
-};
 
 /// The observability layer (DESIGN.md §12), re-exported so harnesses
 /// can consume [`ExecReport::obs`] (`tss_obs::ObsReport`, Chrome trace
@@ -213,7 +209,9 @@ mod tests {
         for _ in 0..16 {
             b.task(k).input(0x1, 64).spawn();
         }
-        let report = run_trace(&b.build(), 3).expect("replay failed");
+        let report = Executor::new(ExecConfig { threads: 3, ..Default::default() })
+            .run(&b.build())
+            .expect("replay failed");
         assert_eq!(report.tasks, 17);
         assert_eq!(report.order[0], 0, "the producer must complete first");
     }

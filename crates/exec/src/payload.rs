@@ -35,7 +35,7 @@ use crate::sync::atomic::{AtomicU32, Ordering};
 pub const DEFAULT_FAULT_RATE_PPM: u32 = 50_000;
 
 // ---------------------------------------------------------------------
-// Task classes (DESIGN.md §13.3)
+// Task classes (DESIGN.md §13)
 // ---------------------------------------------------------------------
 
 /// Compute-heavy task class: the payload is dominated by the traced
@@ -46,9 +46,6 @@ pub const CLASS_COMPUTE: u8 = 0;
 /// footprint (memcpy).
 pub const CLASS_MEMORY: u8 = 1;
 
-/// Worker/task classes the locality policy distinguishes.
-pub const NUM_CLASSES: usize = 2;
-
 /// Footprint threshold for the memory class: a task moving at least
 /// this many operand bytes is memory-bound under [`PayloadMode::Mixed`]
 /// (half the [`CHUNK_CAP`] payload cap — past it the memcpy cost
@@ -56,7 +53,7 @@ pub const NUM_CLASSES: usize = 2;
 pub const MEMORY_CLASS_BYTES: u64 = (CHUNK_CAP as u64) / 2;
 
 /// Classifies one task at spawn from the payload mode + its operand
-/// footprint (DESIGN.md §13.3). Uniform payloads pin the class (every
+/// footprint (DESIGN.md §13). Uniform payloads pin the class (every
 /// spin task is compute-bound, every memcpy task memory-bound); the
 /// footprint threshold only decides for modes whose per-task work is
 /// footprint-dependent ([`PayloadMode::Mixed`]) or free (`Noop`,
@@ -101,11 +98,9 @@ pub enum PayloadMode {
         /// Seed for the per-(task, attempt) fault rolls.
         seed: u64,
     },
-    /// Per-task heterogeneous work (DESIGN.md §13.3): memory-class
+    /// Per-task heterogeneous work (DESIGN.md §13): memory-class
     /// tasks ([`task_class`] = [`CLASS_MEMORY`]) run the memcpy
-    /// payload, compute-class tasks spin for their traced runtime. The
-    /// workload family the class-routing and cost-aware policies are
-    /// measured on.
+    /// payload, compute-class tasks spin for their traced runtime.
     Mixed {
         /// Multiplier on the traced runtime of the spinning class.
         time_scale: f64,

@@ -13,9 +13,9 @@
 //! - **Accounting reconciles.** `completed + failed + poisoned =
 //!   tasks`, with the two sides counted by independent mechanisms
 //!   (worker counters vs the final status scan).
-//! - **One worker ⇒ bit-identical outcomes.** Same seed, same trace,
-//!   same policy: two single-worker runs agree byte for byte on the
-//!   completion log *and* the failure sets.
+//! - **One worker ⇒ identical outcomes.** Same seed, same trace, same
+//!   policy: two single-worker runs agree exactly on the failure sets
+//!   and the retry accounting.
 
 use proptest::prelude::*;
 use tss_exec::fault::FaultPlan;
@@ -36,7 +36,7 @@ fn expected_failure_sets(
     seed: u64,
     policy: FailurePolicy,
 ) -> (Vec<u32>, Vec<u32>, usize) {
-    let plan = FaultPlan { rate_ppm, seed, kill_worker: None };
+    let plan = FaultPlan { rate_ppm, seed, kill_at_ticket: None };
     let max_attempts = policy.max_attempts();
     let n = trace.len();
     let mut cone = vec![false; n];
@@ -82,7 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The full matrix: seeds × {2,4,8} threads × rates × all three
-    /// policies × two-phase/streamed, against the independent oracle.
+    /// policies, against the independent oracle.
     #[test]
     fn chaos_runs_match_the_recomputed_failure_sets(
         fault_seed_raw in 0u32..10_000,
@@ -90,10 +90,8 @@ proptest! {
         rate_sel in 0u8..3,
         policy_sel in 0u8..3,
         bench_sel in 0u8..9,
-        streamed_sel in 0u8..2,
     ) {
         let fault_seed = fault_seed_raw as u64;
-        let streamed = streamed_sel == 1;
         let threads = [2usize, 4, 8][thread_sel as usize];
         let rate_ppm = [50_000u32, 200_000, 500_000][rate_sel as usize];
         let policy = [
@@ -107,8 +105,7 @@ proptest! {
         let (exp_failed, exp_poisoned, exp_retried) =
             expected_failure_sets(&trace, &oracle, rate_ppm, fault_seed, policy);
 
-        let exec = Executor::new(chaos_cfg(threads, rate_ppm, fault_seed, policy));
-        let result = if streamed { exec.run(&trace) } else { exec.run_oneshot(&trace) };
+        let result = Executor::new(chaos_cfg(threads, rate_ppm, fault_seed, policy)).run(&trace);
 
         if policy == FailurePolicy::FailFast {
             // Fail-fast aborts at the first failure: with any expected
@@ -124,7 +121,7 @@ proptest! {
                 }
                 Err(ExecError::TaskFailed(ft)) => {
                     prop_assert!(
-                        FaultPlan { rate_ppm, seed: fault_seed, kill_worker: None }
+                        FaultPlan { rate_ppm, seed: fault_seed, kill_at_ticket: None }
                             .effective(ft.task, 1, false)
                             .is_some(),
                         "{bench}: fail-fast surfaced task {} which the hash says succeeds",
@@ -184,10 +181,12 @@ fn renamer_poison_cone_matches_depgraph_reachability() {
     }
 }
 
-/// One worker, same seed ⇒ the whole outcome is a pure function of the
-/// inputs: completion log, failed set, poisoned set, retry accounting.
+/// One worker, same seed ⇒ the failure outcome is a pure function of
+/// the inputs: failed set, poisoned set, retry accounting. (The
+/// completion log itself may vary: decode races execution even with
+/// one worker, `streaming.rs`.)
 #[test]
-fn single_worker_chaos_is_bit_deterministic() {
+fn single_worker_chaos_accounting_is_deterministic() {
     let policy = FailurePolicy::Retry { max_attempts: 2, backoff: std::time::Duration::ZERO };
     for fault_seed in 0..16u64 {
         let trace = Benchmark::Cholesky.trace(Scale::Small, 11);
@@ -198,11 +197,10 @@ fn single_worker_chaos_is_bit_deterministic() {
                 policy,
                 ..ExecConfig::default()
             })
-            .run_oneshot(&trace)
+            .run(&trace)
             .expect("single-worker chaos run")
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.order, b.order, "seed {fault_seed}: completion log drifted");
         assert_eq!(a.fault, b.fault, "seed {fault_seed}: failure accounting drifted");
     }
 }

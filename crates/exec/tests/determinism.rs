@@ -1,14 +1,7 @@
-//! Determinism boundaries of the native executor (ISSUE 3, sharpened
-//! by ISSUE 4's pipelined core):
+//! Determinism boundaries of the native executor. The 1-worker
+//! contract (oracle determinism — decode races execution even with one
+//! worker) is pinned in `streaming.rs`.
 //!
-//! - **Single-thread two-phase replay is bit-deterministic.** One
-//!   worker over a fully decoded graph: no stealing, no ticket race,
-//!   no decode race — completion order is a pure function of the queue
-//!   discipline (own-deque LIFO over injector FIFO, with batch steals
-//!   banking roots oldest-first), so two runs must produce
-//!   byte-identical completion logs. Streamed runs trade this for
-//!   decode overlap — their 1-worker contract (oracle determinism) is
-//!   pinned in `streaming.rs`.
 //! - **Multi-thread replay is oracle-deterministic, not bit-
 //!   deterministic.** The OS scheduler interleaves workers freely; the
 //!   contract is that *every* interleaving linearizes the dependency
@@ -21,25 +14,6 @@ use proptest::prelude::*;
 use tss_exec::{ExecConfig, Executor, PayloadMode, Renamer};
 use tss_trace::DepGraph;
 use tss_workloads::{Benchmark, Scale};
-
-#[test]
-fn single_thread_replay_is_bit_deterministic() {
-    for b in [Benchmark::Cholesky, Benchmark::H264, Benchmark::Stap] {
-        let trace = b.trace(Scale::Small, 7);
-        let run = |seed| {
-            Executor::new(ExecConfig { threads: 1, seed, ..ExecConfig::default() })
-                .run_oneshot(&trace)
-                .expect("replay failed")
-        };
-        let first = run(1);
-        let second = run(1);
-        assert_eq!(first.order, second.order, "{b}: single-thread order drifted");
-        // Even the steal seed must be irrelevant with one worker.
-        let other_seed = run(99);
-        assert_eq!(first.order, other_seed.order, "{b}: seed leaked into 1-thread order");
-        assert_eq!(first.total_steals(), 0);
-    }
-}
 
 #[test]
 fn renamer_matches_the_oracle_on_every_benchmark() {

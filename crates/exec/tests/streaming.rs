@@ -9,10 +9,8 @@
 //!   `DepGraph` oracle).
 //! - **Replay parity.** The live pipelined executor (decode threads
 //!   racing workers, pending-release lists, sentinel counters) must
-//!   emit oracle-valid completion logs at every thread count, and a
-//!   1-worker streaming replay stays bit-deterministic: in-order
-//!   window commits make the injector sequence a pure function of the
-//!   trace.
+//!   emit oracle-valid completion logs at every thread count; a
+//!   1-worker run is oracle-deterministic (see below).
 
 use proptest::prelude::*;
 use tss_exec::{ExecConfig, Executor, Renamer, StreamingRenamer};
@@ -100,9 +98,8 @@ proptest! {
     }
 }
 
-/// The determinism contract, precisely (DESIGN.md §8): a *two-phase*
-/// 1-worker replay is bit-deterministic (`determinism.rs` pins that).
-/// A *streamed* 1-worker replay is **oracle**-deterministic only:
+/// The determinism contract, precisely (DESIGN.md §8): a 1-worker run
+/// is **oracle**-deterministic only:
 /// whether a task enters through the injector (ready when its window
 /// committed) or through a producer's pending-release list (decoded
 /// after the producer finished) is exactly the decode-vs-execution
@@ -145,7 +142,6 @@ fn streaming_overlap_is_reported() {
     let oneshot = Renamer::new().decode(&trace);
     let cfg = ExecConfig { threads: 2, window: 64, decode_shards: 2, ..ExecConfig::default() };
     let report = Executor::new(cfg).run(&trace).expect("replay failed");
-    assert!(report.streaming);
     assert_eq!(report.decode_shards, 2);
     assert!((0.0..=100.0).contains(&report.decode_overlap_pct));
     assert!(report.decode_wall.as_nanos() > 0, "decode span was recorded");

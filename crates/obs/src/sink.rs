@@ -76,12 +76,16 @@ impl SharedObs {
     /// Deque-depth high-water mark, sampled when pushing a ready task.
     #[inline]
     pub fn note_deque_depth(&self, depth: usize) {
+        // RELAXED: deque-depth gauge fetch_max; advisory high-water mark, never a correctness input
+        // (DESIGN.md §12.3)
         self.deque_depth_max.fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     /// Pending-release drain-length high-water mark.
     #[inline]
     pub fn note_pending_drain(&self, len: usize) {
+        // RELAXED: pending-drain gauge fetch_max; advisory high-water mark, never a correctness
+        // input (DESIGN.md §12.3)
         self.pending_drain_max.fetch_max(len as u64, Ordering::Relaxed);
     }
 
@@ -89,6 +93,8 @@ impl SharedObs {
     /// tickets issued) high-water mark.
     #[inline]
     pub fn note_commit_lag(&self, lag: u64) {
+        // RELAXED: commit-lag gauge fetch_max; advisory high-water mark, never a correctness input
+        // (DESIGN.md §12.3)
         self.commit_lag_max.fetch_max(lag, Ordering::Relaxed);
     }
 
@@ -142,8 +148,11 @@ impl SharedObs {
             queue_wait,
             tracks,
             gauges: Gauges {
+                // RELAXED: gauge read in finish(), after every worker and decode thread joined
                 deque_depth_max: self.deque_depth_max.load(Ordering::Relaxed),
+                // RELAXED: gauge read in finish(), after every worker and decode thread joined
                 pending_drain_max: self.pending_drain_max.load(Ordering::Relaxed),
+                // RELAXED: gauge read in finish(), after every worker and decode thread joined
                 commit_lag_max: self.commit_lag_max.load(Ordering::Relaxed),
             },
             sample_every: crate::SAMPLE_EVERY,

@@ -23,7 +23,6 @@ pub mod h264;
 pub mod kmeans;
 pub mod knn;
 pub mod matmul;
-pub mod mixed;
 pub mod payload;
 pub mod pbpi;
 pub mod specfem;
