@@ -1,10 +1,12 @@
 //! Microbenchmarks for the native executor (`tss-exec`): renamer decode
-//! throughput and the threaded streamed run, tracked so scheduler or renamer
-//! regressions show up in `cargo bench` like simulator regressions do
-//! in `engine_core`.
+//! throughput, the threaded streamed run, and the fixed per-graph cost
+//! of a started executor, tracked so scheduler or renamer regressions
+//! show up in `cargo bench` like simulator regressions do in
+//! `engine_core`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use tss_exec::{ExecConfig, Executor, PayloadMode, Renamer};
+use tss_exec::{CancelToken, ExecConfig, Executor, FailurePolicy, PayloadMode, Renamer};
+use tss_trace::TaskTrace;
 use tss_workloads::{Benchmark, Scale};
 
 fn decode_throughput(c: &mut Criterion) {
@@ -40,5 +42,25 @@ fn run_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(exec_micro, decode_throughput, run_throughput);
+/// Fixed per-graph cost: a 1-task graph on an executor whose threads
+/// are already running, with the configuration the serve pool uses
+/// (2 workers, quarantine, an armed cancel token that never fires).
+fn fixed_cost(c: &mut Criterion) {
+    let mut one = TaskTrace::new("one-task");
+    let k = one.add_kernel("k");
+    one.push_task(k, 1, vec![]);
+    let exec = Executor::new(ExecConfig {
+        threads: 2,
+        policy: FailurePolicy::Quarantine,
+        cancel: Some(CancelToken::new()),
+        ..ExecConfig::default()
+    });
+    let mut g = c.benchmark_group("exec_fixed");
+    g.bench_function("one_task_graph_started_executor", |b| {
+        b.iter(|| exec.run(&one).expect("run failed"))
+    });
+    g.finish();
+}
+
+criterion_group!(exec_micro, decode_throughput, run_throughput, fixed_cost);
 criterion_main!(exec_micro);

@@ -11,7 +11,7 @@
 //! Flags: `--host H --port N` (port 0 picks an ephemeral port;
 //! `--port-file PATH` writes the bound `host:port` once listening, so
 //! scripts can wait for readiness instead of sleeping), sizing
-//! (`--exec-threads`, `--runners`, `--quota`, `--max-queued-graphs`,
+//! (`--exec-threads`, `--quota`, `--max-queued-graphs`,
 //! `--max-queued-tasks`, `--max-graph-tasks`), timing
 //! (`--retry-after-ms`, `--drain-deadline-ms`, `--read-timeout-ms`),
 //! and the payload (`--payload noop|spin|memcpy|mixed`,
@@ -81,12 +81,6 @@ fn parse_args() -> Args {
                     fail("--exec-threads must be at least 1");
                 }
             }
-            "--runners" => {
-                out.cfg.runners = parse_num(&want(args.next(), "--runners"), "--runners");
-                if out.cfg.runners == 0 {
-                    fail("--runners must be at least 1");
-                }
-            }
             "--quota" => {
                 out.cfg.quota = parse_num(&want(args.next(), "--quota"), "--quota");
                 if out.cfg.quota == 0 {
@@ -142,7 +136,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: serve [--host H] [--port N] [--port-file PATH] \
-                     [--exec-threads N] [--runners N] [--quota N] \
+                     [--exec-threads N] [--quota N] \
                      [--max-queued-graphs N] [--max-queued-tasks N] [--max-graph-tasks N] \
                      [--retry-after-ms N] [--drain-deadline-ms N] [--read-timeout-ms N] \
                      [--payload noop|spin|memcpy|mixed] [--spin-scale F] [--seed N]"
@@ -191,10 +185,9 @@ fn main() {
             .unwrap_or_else(|e| fail(format!("cannot write --port-file {path}: {e}")));
     }
     eprintln!(
-        "[serve] listening on {addr} ({} exec threads x {} runners, quota {}, \
+        "[serve] listening on {addr} ({} exec threads, quota {}, \
          watermarks {} graphs / {} tasks, payload {})",
         args.cfg.exec_threads,
-        args.cfg.runners,
         args.cfg.quota,
         args.cfg.max_queued_graphs,
         args.cfg.max_queued_tasks,

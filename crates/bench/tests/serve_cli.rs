@@ -24,7 +24,6 @@ fn run(bin: &str, args: &[&str]) -> (i32, String) {
 fn serve_zero_sizings_are_clean_errors() {
     for (args, needle) in [
         (&["--exec-threads", "0"][..], "--exec-threads must be at least 1"),
-        (&["--runners", "0"][..], "--runners must be at least 1"),
         (&["--quota", "0"][..], "--quota must be at least 1"),
         (&["--max-queued-graphs", "0"][..], "--max-queued-graphs must be at least 1"),
         (&["--drain-deadline-ms", "0"][..], "--drain-deadline-ms must be at least 1 ms"),
@@ -39,7 +38,13 @@ fn serve_zero_sizings_are_clean_errors() {
 
 #[test]
 fn serve_rejects_unknown_flags_and_missing_values() {
-    for args in [&["--frobnicate"][..], &["--port"][..], &["--runners", "many"][..]] {
+    // `--runners` is gone with the runner threads: graphs share one executor.
+    for args in [
+        &["--frobnicate"][..],
+        &["--port"][..],
+        &["--exec-threads", "many"][..],
+        &["--runners", "2"][..],
+    ] {
         let (code, err) = run("serve", args);
         assert_eq!(code, 2, "args {args:?}, stderr: {err}");
         assert!(err.contains("error:"), "args {args:?}, stderr: {err}");

@@ -18,7 +18,8 @@
 //! - [`ChaosMode::Vanish`] — the client gets its graph admitted and
 //!   disappears without reading the outcome. The graph must still
 //!   run, its outcome recorded server-side, the failed delivery
-//!   counted — never wedging a runner or poisoning another session.
+//!   counted — never wedging an executor thread or poisoning another
+//!   session.
 
 use std::net::SocketAddr;
 use std::time::Duration;

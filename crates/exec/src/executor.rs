@@ -1,20 +1,31 @@
-//! The execution core: real threads replaying a decoded task graph
-//! out of order — now a *pipelined* core in which decode itself streams
+//! The execution core: real threads replaying decoded task graphs out
+//! of order — a *pipelined* core in which decode itself streams
 //! concurrently with execution, the way the paper's distributed
 //! ORT/OVT/TRS frontend feeds its backend without serializing it.
 //!
 //! Scheme (DESIGN.md §7 for the execution side, §8 for the streaming
 //! protocol and memory orderings):
 //!
-//! - **One run path.** [`Executor::run`] streams: decode shard threads
-//!   rename the trace window by window *while* workers execute
-//!   already-committed windows (the decode cost overlaps execution —
+//! - **One persistent executor.** [`Executor::new`] starts the worker
+//!   threads, the decode shard threads and (at most) one watchdog
+//!   once; [`Executor::submit`] hands it a graph for as long as it
+//!   lives, and dropping it joins the threads. [`Executor::run`] is
+//!   submit + wait. No thread is spawned or joined per graph.
+//! - **Per-graph state.** Each submitted graph owns its deques,
+//!   injector, readiness counters, status bytes, tickets and fault
+//!   accounting, so the per-task hot path is the single-graph one and
+//!   quarantine, cancel and kill stay scoped to one graph. A worker
+//!   serves one graph until it has no work for that worker, then scans
+//!   the other active graphs, and parks on the executor-wide parker
+//!   only after a complete scan of all of them.
+//! - **Streaming decode.** Decode shard threads rename each graph
+//!   window by window *while* workers execute already-committed
+//!   windows (the decode cost overlaps execution —
 //!   [`ExecReport::decode_overlap_pct`]).
 //! - **Lock-free scheduling.** Per-worker [`ChaseLev`] deques (owner
-//!   LIFO, thief FIFO, batch stealing takes half) replace the mutexed
-//!   ring; the one lock left on the task hot path is gone. Idle workers
-//!   drain the injector first, then scan every other worker's deque
-//!   from a seeded random start.
+//!   LIFO, thief FIFO, batch stealing takes half). Idle workers drain
+//!   the injector first, then scan every other worker's deque from a
+//!   seeded random start.
 //! - **Readiness.** Every task carries an atomic counter that starts at
 //!   a large sentinel `UNPUBLISHED`: producers that finish *before*
 //!   their successor is even decoded simply decrement through the
@@ -30,16 +41,17 @@
 //!   (§8).
 //! - **Parking without storms.** Workers park on a condvar epoch, but
 //!   wakes are throttled: a completion wakes one thief only when it
-//!   banked *surplus* ready tasks (≥ 2), a window commit wakes
-//!   everyone once per window, and the final completion wakes everyone
-//!   once. PR 3 notified on every completion that released anything —
-//!   on an oversubscribed host that was a futex storm dominating the
-//!   replay.
+//!   banked *surplus* ready tasks (≥ 2), and a window commit wakes
+//!   everyone once per window.
 //! - **Completion tickets** are taken *before* successor release, so
 //!   the ticket sequence is a linearization of the dependency order by
 //!   construction; [`DepGraph::validate_order`] checks it on every
-//!   validated run. The ticket counter doubles as the termination
-//!   count: ticket `n−1` means every task has executed.
+//!   validated graph. The ticket counter doubles as the graph's
+//!   termination count: ticket `n−1` means every task has executed.
+//! - **Attach/detach/finalize.** Workers and decode shards *attach* to
+//!   a graph while they touch it; the last one to detach from a
+//!   stopped graph finalizes it exactly once (oracle check, report,
+//!   completion callback). [`Handoff`] is that protocol (§8.2).
 //!
 //! With one worker there is no stealing and no ticket race, but a
 //! streamed run is still oracle-deterministic only: whether a task
@@ -48,8 +60,12 @@
 //! contract).
 
 use crate::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ptr::NonNull;
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 // All wall-clock reads go through the tss-obs timestamp facade (tss-lint
 // bans raw Instant::now() in this crate, DESIGN.md §12.1); the sinks
@@ -67,7 +83,10 @@ use crate::renamer::{merge_window, RenameStats, ShardState};
 use tss_sim::{CachePadded, Cycle};
 use tss_trace::{OrderViolation, TaskId, TaskTrace};
 
-/// Executor configuration.
+/// Executor configuration. `threads`, `payload`, `renaming`,
+/// `validate`, `window` and `decode_shards` shape the executor itself;
+/// the rest are the per-graph defaults [`Executor::run`] submits with
+/// (see [`GraphOptions`]).
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Worker thread count (≥ 1).
@@ -86,8 +105,8 @@ pub struct ExecConfig {
     /// batch (≥ 1). Smaller windows overlap sooner but commit more
     /// often.
     pub window: usize,
-    /// Decode shard threads for streaming runs (≥ 1): address interning
-    /// is hash-partitioned this many ways and each shard renames its
+    /// Decode shard threads (≥ 1): address interning is
+    /// hash-partitioned this many ways and each shard renames its
     /// partition on its own thread (the distributed-ORT analogy).
     pub decode_shards: usize,
     /// What the run does when a task fails (DESIGN.md §11).
@@ -98,16 +117,16 @@ pub struct ExecConfig {
     /// Whole-run wall-clock budget: expiry aborts the run with
     /// [`ExecError::RunDeadline`].
     pub run_deadline: Option<Duration>,
-    /// Chaos: the worker that takes completion ticket `K` exits right
-    /// after releasing that task's successors (the survivors adopt its
-    /// deque via the thief protocol). Exactly one worker dies in every
-    /// run with more than `K` tasks, whatever the thread timing; a run
-    /// with at most `K` tasks loses none. Requires `threads >= 2`.
+    /// Chaos: the worker that takes completion ticket `K` leaves the
+    /// graph right after releasing that task's successors (the
+    /// survivors adopt its deque via the thief protocol). Exactly one
+    /// worker is lost in every run with more than `K` tasks, whatever
+    /// the thread timing; a run with at most `K` tasks loses none.
+    /// Requires `threads >= 2`.
     pub kill_at_ticket: Option<usize>,
-    /// External cancellation (DESIGN.md §14.3): when the token fires,
-    /// the watchdog aborts the run and it returns
-    /// [`ExecError::Cancelled`] with its progress counts. `None` (the
-    /// default) adds no machinery at all.
+    /// External cancellation (DESIGN.md §11.3): when the token fires,
+    /// the run aborts and returns [`ExecError::Cancelled`] with its
+    /// progress counts. An armed token that never fires costs nothing.
     pub cancel: Option<CancelToken>,
 }
 
@@ -130,16 +149,78 @@ impl Default for ExecConfig {
     }
 }
 
+impl ExecConfig {
+    /// The per-graph fields, as [`Executor::run`] submits them.
+    pub fn graph_options(&self) -> GraphOptions {
+        GraphOptions {
+            payload: self.payload,
+            seed: self.seed,
+            policy: self.policy,
+            task_deadline: self.task_deadline,
+            run_deadline: self.run_deadline,
+            kill_at_ticket: self.kill_at_ticket,
+            cancel: self.cancel.clone(),
+        }
+    }
+}
+
+/// What one submitted graph runs under (the per-graph half of
+/// [`ExecConfig`], same meanings). The default is
+/// `ExecConfig::default().graph_options()`.
+#[derive(Debug, Clone)]
+pub struct GraphOptions {
+    /// What each task execution does. `memcpy` and `mixed` read the
+    /// executor's source arena, so they need an executor built with one
+    /// of those payloads; the others run on any executor.
+    pub payload: PayloadMode,
+    /// Seeds the per-worker steal-victim rotation for this graph.
+    pub seed: u64,
+    /// Failure policy (DESIGN.md §11).
+    pub policy: FailurePolicy,
+    /// Per-task wall-clock budget.
+    pub task_deadline: Option<Duration>,
+    /// Whole-graph wall-clock budget, counted from submission.
+    pub run_deadline: Option<Duration>,
+    /// Chaos worker loss keyed on completion ticket `K`.
+    pub kill_at_ticket: Option<usize>,
+    /// External cancellation.
+    pub cancel: Option<CancelToken>,
+}
+
+impl Default for GraphOptions {
+    fn default() -> Self {
+        ExecConfig::default().graph_options()
+    }
+}
+
 /// A cloneable external-cancellation handle. The serve layer
 /// (DESIGN.md §14.3) arms one per accepted graph so a drain deadline
-/// can stop a run that is already executing; anything else that embeds
-/// the executor can do the same. The token is polled by the watchdog
-/// thread (same 200 µs cadence as the deadlines), never on the task
-/// hot path, so an armed-but-unfired token costs one extra load per
-/// poll tick and nothing per task. Cancellation latency is therefore
-/// bounded by one poll tick plus the longest in-flight payload.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(std::sync::Arc<AtomicU32>);
+/// can stop a graph that is already executing; anything else that
+/// embeds the executor can do the same.
+///
+/// Cancellation is pushed, never polled: [`CancelToken::cancel`]
+/// raises the abort and taint flags of every graph the token is armed
+/// on and wakes the workers, so an armed token that never fires adds
+/// no watch slot, no guarded lane and no watchdog tick. Workers observe
+/// the abort between tasks: the task in flight finishes (or, when a
+/// deadline armed watch slots for the graph, is cancelled mid-payload),
+/// and every task still queued is dropped unrun. A token fired before
+/// its graph is submitted cancels it before any task runs.
+#[derive(Clone, Default)]
+pub struct CancelToken(Arc<TokenState>);
+
+#[derive(Default)]
+struct TokenState {
+    fired: AtomicU32,
+    /// Graphs this token is armed on (pruned as they finish).
+    graphs: Mutex<Vec<Weak<Graph>>>,
+}
+
+impl std::fmt::Debug for CancelToken {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CancelToken").field("cancelled", &self.is_cancelled()).finish()
+    }
+}
 
 impl CancelToken {
     /// A fresh, unfired token.
@@ -147,20 +228,46 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Fires the token. Idempotent; safe from any thread.
+    /// Fires the token and aborts every graph it is armed on.
+    /// Idempotent; safe from any thread.
     pub fn cancel(&self) {
-        self.0.store(1, Ordering::Release);
+        self.0.fired.store(1, Ordering::Release);
+        let graphs = std::mem::take(&mut *lock(&self.0.graphs));
+        for g in graphs.iter().filter_map(Weak::upgrade) {
+            g.cancel();
+        }
     }
 
     /// Whether [`CancelToken::cancel`] has been called.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire) != 0
+        self.0.fired.load(Ordering::Acquire) != 0
+    }
+
+    /// Arms the token on `g`. Both sides take the same lock, so either
+    /// `cancel` sees `g` in the list or this sees the token fired.
+    fn arm(&self, g: &Arc<Graph>) {
+        let mut graphs = lock(&self.0.graphs);
+        if self.is_cancelled() {
+            drop(graphs);
+            g.cancel();
+            return;
+        }
+        graphs.retain(|w| w.strong_count() > 0);
+        graphs.push(Arc::downgrade(g));
     }
 }
 
-/// Per-worker counters. Each worker accumulates its own copy on its own
-/// stack (the strongest form of false-sharing avoidance — nothing is
-/// shared until the join) and hands it back when the scope ends.
+/// Locks a facade mutex, ignoring poison: every critical section in
+/// this file leaves its data consistent, and a waiter on a lent trace
+/// must never unwind before its graph is finalized.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Per-worker counters for one graph. Each worker accumulates them on
+/// its own stack while it serves the graph (the strongest form of
+/// false-sharing avoidance) and adds them into its per-graph slot when
+/// it detaches.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStats {
     /// Tasks this worker executed.
@@ -534,7 +641,7 @@ enum EdgeFate {
 }
 
 // ---------------------------------------------------------------------
-// Shared run state
+// Per-graph state
 // ---------------------------------------------------------------------
 
 /// One worker's deadline-watchdog slot. The worker arms it around each
@@ -545,7 +652,7 @@ enum EdgeFate {
 /// turns that into a silent payload restart instead of a wrong
 /// failure).
 struct WatchSlot {
-    /// Absolute attempt deadline, ns since `Shared::t0` (0 = unarmed).
+    /// Absolute attempt deadline, ns since `Graph::t0` (0 = unarmed).
     deadline_ns: CachePadded<AtomicU64>,
     /// Nonzero = stop the current payload.
     cancel: AtomicU32,
@@ -557,10 +664,129 @@ impl WatchSlot {
     }
 }
 
-/// Shared run state (borrowed by every worker via a scoped spawn).
-struct Shared<'a> {
+/// One worker's accounting for one graph. Only that worker writes it,
+/// and only while attached; the finalizer reads it after every
+/// participant has detached. The counters are Relaxed: the detach RMW
+/// ([`DETACH_PUBLISH`]) is the edge that carries them to the finalizer.
+struct WorkerSlot {
+    executed: AtomicU64,
+    steals: AtomicU64,
+    busy_ns: AtomicU64,
+    /// Steal-victim rotation state, carried from one attach to the next.
+    rng: AtomicU64,
+    /// Nonzero once the worker left the graph for good (kill ticket or
+    /// an executor-bug panic): it never attaches to it again.
+    lost: AtomicU32,
+    /// The worker's observability sink for this graph.
+    obs: Mutex<Option<WorkerObs>>,
+}
+
+impl WorkerSlot {
+    fn new(rng: u64) -> Self {
+        WorkerSlot {
+            executed: AtomicU64::new(0),
+            steals: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
+            rng: AtomicU64::new(rng),
+            lost: AtomicU32::new(0),
+            obs: Mutex::new(None),
+        }
+    }
+}
+
+/// The CLOSED bit of [`Handoff`]'s word: set by the first participant
+/// that detaches from a stopped graph; no attach succeeds after it.
+const CLOSED: usize = 1 << (usize::BITS - 1);
+
+/// Ordering of the detach RMW. Its release half publishes everything
+/// the detaching participant wrote for the graph (worker-slot
+/// counters, completion-log slots, status bytes, decode counters); its
+/// acquire half, on the last detach, is what lets the finalizer read
+/// all of it. `--cfg tss_bug_detach_relaxed` weakens it so CI can
+/// prove the model suite catches a finalizer reading stale stats
+/// (§10.3).
+#[cfg(not(tss_bug_detach_relaxed))]
+const DETACH_PUBLISH: Ordering = Ordering::AcqRel;
+#[cfg(tss_bug_detach_relaxed)]
+// RELAXED: deliberately-weak seeded-bug arm, compiled only under --cfg tss_bug_detach_relaxed;
+// model_graph_handoff_finalizes_once_after_every_detach fails when active (DESIGN.md §8.2)
+const DETACH_PUBLISH: Ordering = Ordering::Relaxed;
+
+/// The attach/detach/finalize handoff (DESIGN.md §8.2): one word
+/// holding the number of attached participants (workers and decode
+/// shards) plus the [`CLOSED`] bit. A participant that detaches from a
+/// stopped graph closes it in the same RMW; the detach that leaves a
+/// closed graph with no one attached is the unique finalizer.
+struct Handoff {
+    state: CachePadded<AtomicUsize>,
+}
+
+impl Handoff {
+    /// A handoff with `attached` participants already attached.
+    fn new(attached: usize) -> Self {
+        Handoff { state: CachePadded::new(AtomicUsize::new(attached)) }
+    }
+
+    /// Attaches one participant; fails once the graph is closed.
+    fn attach(&self) -> bool {
+        let mut s = self.state.load(Ordering::Acquire);
+        loop {
+            if s & CLOSED != 0 {
+                return false;
+            }
+            match self.state.compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Acquire) {
+                Ok(_) => return true,
+                Err(now) => s = now,
+            }
+        }
+    }
+
+    /// Detaches one participant, closing the graph first if the caller
+    /// saw it stopped. Returns `true` for exactly one caller per graph:
+    /// the one that left it closed with nobody attached, which must
+    /// finalize it.
+    fn detach(&self, stopped: bool) -> bool {
+        if !stopped {
+            return self.state.fetch_sub(1, DETACH_PUBLISH) == CLOSED | 1;
+        }
+        // RELAXED: CAS seed only; the CAS below re-validates it
+        let mut s = self.state.load(Ordering::Relaxed);
+        loop {
+            let next = (s | CLOSED) - 1;
+            // RELAXED: failure ordering of a retried CAS; the successful CAS carries DETACH_PUBLISH
+            match self.state.compare_exchange_weak(s, next, DETACH_PUBLISH, Ordering::Relaxed) {
+                Ok(_) => return next == CLOSED,
+                Err(now) => s = now,
+            }
+        }
+    }
+}
+
+/// A pointer to the trace a graph replays: into the graph's own
+/// `Arc<TaskTrace>` for [`Executor::submit`], or to the caller's
+/// borrow for [`Executor::run`].
+struct TracePtr(NonNull<TaskTrace>);
+
+// SAFETY: `TaskTrace` is plain immutable data (Sync), and the pointer is
+// only dereferenced through `Graph::trace`, whose contract keeps the
+// pointee alive for every dereference; sharing the pointer across
+// threads is then sharing a `&TaskTrace`.
+unsafe impl Send for TracePtr {}
+// SAFETY: as for Send above: only ever read as a shared reference.
+unsafe impl Sync for TracePtr {}
+
+/// What runs when a graph is finalized.
+type Completion = Box<dyn FnOnce(Result<ExecReport, ExecError>) + Send>;
+
+/// One submitted graph: its trace, its scheduling and readiness state,
+/// its failure domain, and its handoff. Shared by the workers and
+/// decode shards that attach to it.
+struct Graph {
+    core: Arc<Core>,
+    trace: TracePtr,
+    /// Keeps a submitted trace alive (`None` for a trace lent by `run`).
+    _owner: Option<Arc<TaskTrace>>,
     release: StreamRelease,
-    trace: &'a TaskTrace,
     /// Traced runtimes as a dense SoA column (only populated for spin
     /// payloads): the readiness/dispatch hot path must not drag each
     /// task's whole `TaskDesc` (operand `Vec` header included) through
@@ -574,19 +800,21 @@ struct Shared<'a> {
     next_ticket: CachePadded<AtomicUsize>,
     deques: Vec<ChaseLev>,
     injector: ChaseLev,
-    parker: Parker,
     payload: PayloadMode,
 
     // --- failure domain (DESIGN.md §11) ---
     /// Per-task status byte (HEALTHY / POISONED / FAILED).
     status: Vec<AtomicU8>,
-    /// Nonzero = stop the run (fail-fast failure, run deadline, or an
-    /// infrastructure panic). Checked on the idle path and the park
-    /// predicate only — never per task.
+    /// Nonzero = stop the graph (fail-fast failure, run deadline,
+    /// cancellation, or an infrastructure panic). Checked on the idle
+    /// path, the park predicate and the guarded lane — never on the
+    /// fast lane.
     abort: CachePadded<AtomicU32>,
-    /// Nonzero once any attempt has failed: diverts subsequent tasks
-    /// from the fast path onto the guarded path even when no chaos is
-    /// armed (a real payload panic under Quarantine must still poison).
+    /// Nonzero once any attempt has failed or the graph aborted:
+    /// diverts subsequent tasks from the fast path onto the guarded
+    /// path even when no chaos is armed (a real payload panic under
+    /// Quarantine must still poison; an aborted graph drops its queued
+    /// tasks).
     tainted: CachePadded<AtomicU32>,
     /// Resolved fault-injection plan (all-zero when disarmed).
     plan: FaultPlan,
@@ -595,25 +823,27 @@ struct Shared<'a> {
     backoff_base: Duration,
     /// Per-task deadline (None = unarmed).
     task_deadline: Option<Duration>,
+    /// The configured run deadline, for the error report.
+    run_deadline: Option<Duration>,
     /// Absolute run deadline, ns since `t0` (0 = unarmed).
     run_deadline_ns: u64,
-    /// Wall anchor for every deadline computation.
+    /// Submission time: wall anchor for every deadline computation and
+    /// for the decode and execution spans.
     t0: Stamp,
+    /// Anchor of each worker's whole-graph obs span.
+    span: SpanStamp,
     /// Shared observability state (ready-time table + gauges); a ZST
     /// no-op unless the `obs` feature is on (DESIGN.md §12).
     obs: SharedObs,
     /// True when any per-task machinery (injection, task deadline, or
     /// payload cancellation for the run deadline) must run: decided
-    /// once, so a fault-free run's per-task path is unchanged.
+    /// once, so a fault-free graph's per-task path is unchanged.
     guarded: bool,
-    /// Per-worker watchdog slots (empty when no deadline is armed).
+    /// Per-worker watchdog slots (empty unless a deadline is armed).
     watch: Vec<WatchSlot>,
     /// Set by the watchdog when the run deadline expired.
     run_deadline_hit: AtomicU32,
-    /// External cancellation token (DESIGN.md §14.3), polled by the
-    /// watchdog alongside the deadlines.
-    cancel: Option<CancelToken>,
-    /// Set by the watchdog when the cancel token fired.
+    /// Set when a cancel token aborted the graph.
     cancel_hit: AtomicU32,
     /// Final failure records, in completion order.
     failures: Mutex<Vec<FailedTask>>,
@@ -624,63 +854,81 @@ struct Shared<'a> {
     retry_hist: Vec<AtomicU64>,
     /// Tasks that failed an attempt but eventually completed.
     retried_ok: CachePadded<AtomicUsize>,
+
+    // --- decode and lifetime ---
+    dec: DecodeState,
+    /// Rename statistics summed over the decode shards.
+    rename: Mutex<RenameStats>,
+    /// Per-decode-shard obs sinks, handed in as each shard detaches.
+    decode_obs: Mutex<Vec<WorkerObs>>,
+    slots: Vec<CachePadded<WorkerSlot>>,
+    handoff: Handoff,
+    on_done: Mutex<Option<Completion>>,
 }
 
-impl Shared<'_> {
-    fn new<'t>(trace: &'t TaskTrace, cfg: &ExecConfig) -> Shared<'t> {
-        let n = trace.len();
-        let total_ops: usize = trace.iter().map(|t| t.operands.len()).sum();
+impl Graph {
+    fn new(
+        core: &Arc<Core>,
+        trace: TracePtr,
+        owner: Option<Arc<TaskTrace>>,
+        opts: &GraphOptions,
+        on_done: Completion,
+    ) -> Graph {
+        // SAFETY: the caller's reference (or `owner`) is alive for this
+        // whole call.
+        let tr = unsafe { trace.0.as_ref() };
+        let n = tr.len();
+        let total_ops: usize = tr.iter().map(|t| t.operands.len()).sum();
         // Pre-dedup pair bound: ≤ 1 RaW per read + 1 WaW per write +
         // readers cleared per write (≤ total reads) — see renamer.rs.
         let edge_cap = 3 * total_ops + 8;
-        let threads = cfg.threads;
-        let payload = cfg.payload;
+        let threads = core.cfg.threads;
+        let payload = opts.payload;
         let runtimes = if matches!(payload, PayloadMode::Spin { .. }) {
-            trace.iter().map(|t| t.runtime).collect()
+            tr.iter().map(|t| t.runtime).collect()
         } else {
             Vec::new()
         };
         let plan = match payload {
             PayloadMode::Faulty { rate_ppm, seed } => {
-                FaultPlan { rate_ppm, seed, kill_at_ticket: cfg.kill_at_ticket }
+                FaultPlan { rate_ppm, seed, kill_at_ticket: opts.kill_at_ticket }
             }
-            _ => FaultPlan { rate_ppm: 0, seed: 0, kill_at_ticket: cfg.kill_at_ticket },
+            _ => FaultPlan { rate_ppm: 0, seed: 0, kill_at_ticket: opts.kill_at_ticket },
         };
-        // An armed cancel token counts as a deadline: it needs the
-        // watch slots so a firing can stop in-flight payloads, not just
-        // idle workers (otherwise cancellation latency is a full local
-        // deque of payloads, DESIGN.md §14.3).
-        let deadline_armed =
-            cfg.task_deadline.is_some() || cfg.run_deadline.is_some() || cfg.cancel.is_some();
+        // A cancel token is not a deadline: cancellation is pushed into
+        // the abort flag (`Graph::cancel`), so it needs no watch slots.
+        let deadline_armed = opts.task_deadline.is_some() || opts.run_deadline.is_some();
         let guarded = plan.enabled() || deadline_armed;
-        let max_attempts = cfg.policy.max_attempts();
-        let backoff_base = match cfg.policy {
+        let max_attempts = opts.policy.max_attempts();
+        let backoff_base = match opts.policy {
             FailurePolicy::Retry { backoff, .. } => backoff,
             _ => Duration::ZERO,
         };
-        let t0 = Stamp::now();
-        let run_deadline_ns = cfg.run_deadline.map_or(0, |d| (d.as_nanos() as u64).max(1));
-        Shared {
-            release: StreamRelease::new(n, edge_cap),
+        let run_deadline_ns = opts.run_deadline.map_or(0, |d| (d.as_nanos() as u64).max(1));
+        Graph {
+            core: Arc::clone(core),
             trace,
+            _owner: owner,
+            release: StreamRelease::new(n, edge_cap),
             runtimes,
             n,
             order: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),
             next_ticket: CachePadded::new(AtomicUsize::new(0)),
             deques: (0..threads).map(|_| ChaseLev::with_capacity(256)).collect(),
             injector: ChaseLev::with_capacity(1024),
-            parker: Parker::new(),
             payload,
             status: (0..n).map(|_| AtomicU8::new(HEALTHY)).collect(),
             abort: CachePadded::new(AtomicU32::new(0)),
             tainted: CachePadded::new(AtomicU32::new(0)),
             plan,
-            policy: cfg.policy,
+            policy: opts.policy,
             max_attempts,
             backoff_base,
-            task_deadline: cfg.task_deadline,
+            task_deadline: opts.task_deadline,
+            run_deadline: opts.run_deadline,
             run_deadline_ns,
-            t0,
+            t0: Stamp::now(),
+            span: SpanStamp::begin(),
             obs: SharedObs::new(),
             guarded,
             watch: if deadline_armed {
@@ -689,13 +937,38 @@ impl Shared<'_> {
                 Vec::new()
             },
             run_deadline_hit: AtomicU32::new(0),
-            cancel: cfg.cancel.clone(),
             cancel_hit: AtomicU32::new(0),
             failures: Mutex::new(Vec::new()),
             infra_panic: Mutex::new(None),
             retry_hist: (0..max_attempts as usize).map(|_| AtomicU64::new(0)).collect(),
             retried_ok: CachePadded::new(AtomicUsize::new(0)),
+            dec: DecodeState::new(n, core.cfg.window, core.cfg.decode_shards),
+            rename: Mutex::new(RenameStats::default()),
+            decode_obs: Mutex::new(Vec::with_capacity(core.cfg.decode_shards)),
+            slots: (0..threads)
+                .map(|w| {
+                    let rng = opts.seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+                    CachePadded::new(WorkerSlot::new(rng))
+                })
+                .collect(),
+            // The decode shards start attached: a graph cannot finalize
+            // before every shard is done with it.
+            handoff: Handoff::new(core.cfg.decode_shards),
+            on_done: Mutex::new(Some(on_done)),
         }
+    }
+
+    /// The trace this graph replays.
+    #[inline]
+    fn trace(&self) -> &TaskTrace {
+        // SAFETY: the pointee outlives every dereference. A submitted
+        // trace is owned by `_owner`, which lives as long as `self`. A
+        // trace lent by `Executor::run` stays borrowed until `run`
+        // returns, and `run` returns only after the finalizer has
+        // filled its result — by then every participant has detached
+        // (and only attached participants and the finalizer call this),
+        // and the finalizer itself is done with the trace.
+        unsafe { self.trace.0.as_ref() }
     }
 
     #[inline]
@@ -708,32 +981,157 @@ impl Shared<'_> {
         self.abort.load(Ordering::Acquire) != 0
     }
 
-    /// Workers exit on this: normal termination *or* an abort.
+    /// Participants detach on this: normal termination *or* an abort.
     #[inline]
     fn stopping(&self) -> bool {
         self.done() || self.aborted()
     }
 
-    /// Raises the abort flag and flushes every parked worker into its
-    /// `stopping()` check.
+    /// Raises the abort flag, taints the graph (so queued tasks are
+    /// dropped on the guarded lane instead of run), and wakes every
+    /// parked worker: one of them attaches, sees the graph stopped, and
+    /// closes it even when nobody was attached.
     fn request_abort(&self) {
+        // RELAXED: taint is a lane hint; the Release abort store below orders it for anyone who
+        // acts on the abort
+        self.tainted.store(1, Ordering::Relaxed);
         self.abort.store(1, Ordering::Release);
-        self.parker.wake_all();
+        self.core.parker.wake_all();
     }
 
-    /// Records a non-payload panic (an executor bug, caught at the
-    /// thread boundary so the run still joins cleanly) and aborts.
-    fn note_infra_panic(&self, message: String) {
-        let mut slot = self.infra_panic.lock().expect("infra panic slot poisoned");
-        slot.get_or_insert(message);
-        drop(slot);
+    /// Cancels the graph (a fired [`CancelToken`]): same abort protocol
+    /// as the run deadline, reported as `ExecError::Cancelled`. With
+    /// watch slots armed, in-flight payloads are cancelled too.
+    fn cancel(&self) {
+        if self.stopping() {
+            return;
+        }
+        self.cancel_hit.store(1, Ordering::Release);
+        for slot in &self.watch {
+            slot.cancel.store(1, Ordering::Release);
+        }
         self.request_abort();
     }
 
-    /// Whether the watchdog thread is needed.
-    #[inline]
-    fn watchdog_armed(&self) -> bool {
-        !self.watch.is_empty() || self.cancel.is_some()
+    /// Records a non-payload panic (an executor bug, caught at the
+    /// participant boundary so the graph still finalizes) and aborts.
+    fn note_infra_panic(&self, message: String) {
+        lock(&self.infra_panic).get_or_insert(message);
+        self.request_abort();
+    }
+
+    /// One watchdog poll: cancels expired attempts, and aborts the
+    /// graph past its run deadline.
+    fn watch_tick(&self) {
+        let now = self.t0.elapsed().as_nanos() as u64;
+        for slot in &self.watch {
+            let dl = slot.deadline_ns.load(Ordering::Acquire);
+            if dl != 0 && now >= dl {
+                slot.cancel.store(1, Ordering::Release);
+            }
+        }
+        if self.run_deadline_ns != 0 && now >= self.run_deadline_ns && !self.stopping() {
+            self.run_deadline_hit.store(1, Ordering::Release);
+            // Cancel every in-flight payload, then abort: workers
+            // observe `Aborted` attempts and detach without completing.
+            for slot in &self.watch {
+                slot.cancel.store(1, Ordering::Release);
+            }
+            self.request_abort();
+        }
+    }
+
+    /// Attaches worker `w` unless it left this graph for good or the
+    /// graph is closed.
+    fn attach(&self, w: usize) -> bool {
+        // RELAXED: `lost` is written and read only by worker `w` itself
+        self.slots[w].lost.load(Ordering::Relaxed) == 0 && self.handoff.attach()
+    }
+
+    /// Detaches one participant; the last one out of a stopped graph
+    /// finalizes it.
+    fn detach(self: &Arc<Self>) {
+        if self.handoff.detach(self.stopping()) {
+            finalize(self);
+        }
+    }
+}
+
+/// Finalizes a graph exactly once, on the thread whose detach closed
+/// it out: builds the report (the oracle check included), retires the
+/// graph from the executor, then runs its completion.
+fn finalize(g: &Arc<Graph>) {
+    let result = catch_unwind(AssertUnwindSafe(|| g.report()))
+        .unwrap_or_else(|p| Err(ExecError::WorkerPanic { message: panic_message(&*p) }));
+    g.core.retire(g);
+    let done = lock(&g.on_done).take();
+    if let Some(done) = done {
+        // A panicking completion must not take the worker with it.
+        let _ = catch_unwind(AssertUnwindSafe(move || done(result)));
+    }
+}
+
+/// Executor-wide state shared by every thread and graph.
+struct Core {
+    /// The executor's configuration (`window`/`decode_shards` clamped).
+    cfg: ExecConfig,
+    /// Payload source bytes, built once for the executor's lifetime.
+    arena: Vec<u8>,
+    /// The one parker every idle worker sleeps on.
+    parker: Parker,
+    /// Submitted graphs not yet finalized, in submission order.
+    active: Mutex<Vec<Arc<Graph>>>,
+    /// Signalled when `active` becomes empty.
+    idle: Condvar,
+    /// Bumped (SeqCst) on every change to `active`, after the change:
+    /// workers re-snapshot the list when it moves. Read after the
+    /// parker epoch, it closes the "graph registered between my epoch
+    /// read and my scan" window the same way the epoch closes the
+    /// "work pushed after my scan" one.
+    generation: CachePadded<AtomicU64>,
+    /// Per-decode-shard FIFO of graphs awaiting decode.
+    decode: Vec<DecodeQueue>,
+    /// Graphs with a task or run deadline armed: the watchdog's list.
+    watched: Mutex<Vec<Arc<Graph>>>,
+    /// Wakes the watchdog when `watched` gains a graph (or at shutdown).
+    watch_cv: Condvar,
+    /// Nonzero once the executor is being dropped.
+    shutdown: AtomicU32,
+}
+
+struct DecodeQueue {
+    graphs: Mutex<VecDeque<Arc<Graph>>>,
+    cv: Condvar,
+}
+
+impl Core {
+    fn shut_down(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire) != 0
+    }
+
+    /// Registers a new graph and hands it to the decode shards (and to
+    /// the watchdog when it carries a deadline).
+    fn register(&self, g: &Arc<Graph>) {
+        lock(&self.active).push(Arc::clone(g));
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        if !g.watch.is_empty() {
+            lock(&self.watched).push(Arc::clone(g));
+            self.watch_cv.notify_one();
+        }
+        for q in &self.decode {
+            lock(&q.graphs).push_back(Arc::clone(g));
+            q.cv.notify_one();
+        }
+    }
+
+    /// Removes a finalized graph from the active list.
+    fn retire(&self, g: &Arc<Graph>) {
+        let mut active = lock(&self.active);
+        active.retain(|a| !Arc::ptr_eq(a, g));
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        if active.is_empty() {
+            self.idle.notify_all();
+        }
     }
 }
 
@@ -746,7 +1144,7 @@ impl Shared<'_> {
 fn complete(
     t: u32,
     w: usize,
-    shared: &Shared<'_>,
+    shared: &Graph,
     ready: &mut Vec<u32>,
     wobs: &mut WorkerObs,
     poisoned: bool,
@@ -757,8 +1155,8 @@ fn complete(
     // producer-before-successor follows from the release/acquire edge
     // on the readiness counter (§8).
     let ticket = shared.next_ticket.fetch_add(1, Ordering::AcqRel);
-    // RELAXED: order slot uniquely claimed by the AcqRel ticket fetch_add; read only after all
-    // workers joined
+    // RELAXED: order slot uniquely claimed by the AcqRel ticket fetch_add; read by the finalizer
+    // after the detach RMWs
     shared.order[ticket].store(t, Ordering::Relaxed);
 
     ready.clear();
@@ -781,16 +1179,13 @@ fn complete(
             shared.obs.note_deque_depth(shared.deques[w].len());
         }
     }
-    if ticket + 1 == shared.n {
-        // Final completion: unconditionally flush every parked worker
-        // into their done() check.
-        shared.parker.wake_all();
-        wobs.wake(&shared.obs);
-    } else if ready.len() >= 2 && shared.parker.has_idle() {
+    // The final completion wakes nobody: parked workers are detached
+    // from this graph, and whoever detaches last finalizes it.
+    if ready.len() >= 2 && shared.core.parker.has_idle() {
         // Surplus banked beyond what this worker immediately runs: one
         // thief's worth of news, one wake — not PR 3's per-completion
         // notify_all storm.
-        shared.parker.wake_one();
+        shared.core.parker.wake_one();
         wobs.wake(&shared.obs);
     }
 }
@@ -798,7 +1193,7 @@ fn complete(
 fn run_task(
     t: u32,
     w: usize,
-    shared: &Shared<'_>,
+    shared: &Graph,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
     ready: &mut Vec<u32>,
@@ -830,10 +1225,10 @@ fn run_task(
             scratch.run_spin(shared.runtimes[t as usize], time_scale);
         })),
         PayloadMode::Memcpy => catch_unwind(AssertUnwindSafe(|| {
-            scratch.run_memcpy(shared.trace.task(t as TaskId));
+            scratch.run_memcpy(shared.trace().task(t as TaskId));
         })),
         PayloadMode::Mixed { time_scale } => catch_unwind(AssertUnwindSafe(|| {
-            scratch.run_mixed(shared.trace.task(t as TaskId), time_scale);
+            scratch.run_mixed(shared.trace().task(t as TaskId), time_scale);
         })),
     };
     match outcome {
@@ -862,12 +1257,17 @@ fn run_task(
 fn run_task_guarded(
     t: u32,
     w: usize,
-    shared: &Shared<'_>,
+    shared: &Graph,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
     ready: &mut Vec<u32>,
     wobs: &mut WorkerObs,
 ) {
+    if shared.aborted() {
+        // The graph is stopping: drop the task unrun (no ticket). The
+        // worker detaches at its next idle check.
+        return;
+    }
     // The status byte was stored before the countdown/publish that made
     // `t` ready, and the deque transfer carries it here (§11).
     if shared.status[t as usize].load(Ordering::Acquire) != HEALTHY {
@@ -880,7 +1280,7 @@ fn run_task_guarded(
         Ok(()) => {
             stats.executed += 1;
             if !shared.retry_hist.is_empty() {
-                // RELAXED: retry histogram counter; aggregated after all workers joined
+                // RELAXED: retry histogram counter; read by the finalizer after the detach RMWs
                 shared.retry_hist[0].fetch_add(1, Ordering::Relaxed);
             }
             complete(t, w, shared, ready, wobs, false);
@@ -912,7 +1312,7 @@ fn attempt_payload(
     t: u32,
     attempt: u32,
     w: usize,
-    shared: &Shared<'_>,
+    shared: &Graph,
     scratch: &mut PayloadScratch<'_>,
 ) -> Result<(), AttemptError> {
     let injected = shared.plan.effective(t, attempt, shared.task_deadline.is_some());
@@ -940,10 +1340,10 @@ fn attempt_payload(
                 scratch.run_spin(shared.runtimes[t as usize], time_scale);
             }
             PayloadMode::Memcpy => {
-                scratch.run_memcpy(shared.trace.task(t as TaskId));
+                scratch.run_memcpy(shared.trace().task(t as TaskId));
             }
             PayloadMode::Mixed { time_scale } => {
-                scratch.run_mixed(shared.trace.task(t as TaskId), time_scale);
+                scratch.run_mixed(shared.trace().task(t as TaskId), time_scale);
             }
         }));
         return res.map_err(|p| {
@@ -974,7 +1374,7 @@ fn attempt_payload(
                 Ok(true)
             }
             _ => catch_unwind(AssertUnwindSafe(|| {
-                let task = shared.trace.task(t as TaskId);
+                let task = shared.trace().task(t as TaskId);
                 let (_, cancelled) = scratch.run_watched(shared.payload, task, &slot.cancel);
                 cancelled
             })),
@@ -1009,7 +1409,7 @@ fn attempt_payload(
 fn resolve_failure(
     t: u32,
     w: usize,
-    shared: &Shared<'_>,
+    shared: &Graph,
     scratch: &mut PayloadScratch<'_>,
     stats: &mut WorkerStats,
     ready: &mut Vec<u32>,
@@ -1027,10 +1427,10 @@ fn resolve_failure(
         match attempt_payload(t, attempt, w, shared, scratch) {
             Ok(()) => {
                 stats.executed += 1;
-                // RELAXED: retried-ok counter; aggregated after all workers joined
+                // RELAXED: retried-ok counter; read by the finalizer after the detach RMWs
                 shared.retried_ok.fetch_add(1, Ordering::Relaxed);
                 if !shared.retry_hist.is_empty() {
-                    // RELAXED: retry histogram counter; aggregated after all workers joined
+                    // RELAXED: retry histogram counter; read by the finalizer after the detach RMWs
                     shared.retry_hist[(attempt - 1) as usize].fetch_add(1, Ordering::Relaxed);
                 }
                 complete(t, w, shared, ready, wobs, false);
@@ -1049,7 +1449,7 @@ fn resolve_failure(
         failures.push(FailedTask { task: t, attempts: attempt, failure });
     }
     if !shared.retry_hist.is_empty() {
-        // RELAXED: retry histogram counter; aggregated after all workers joined
+        // RELAXED: retry histogram counter; read by the finalizer after the detach RMWs
         shared.retry_hist[(attempt - 1) as usize].fetch_add(1, Ordering::Relaxed);
     }
     match shared.policy {
@@ -1081,37 +1481,103 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How a worker thread left the run. Either way it hands back its
-/// counters and its observability sink (drained after the join).
-enum WorkerExit {
-    /// Normal exit: ran until termination (or abort).
-    Finished(WorkerStats, WorkerObs),
-    /// Injected worker kill: the thread left mid-run with work possibly
-    /// still in its deque — the survivors adopt it via the thief
-    /// protocol (the Chase-Lev top end needs no owner).
-    Killed(WorkerStats, WorkerObs),
-}
-
-fn worker_loop(w: usize, shared: &Shared<'_>, arena: &[u8], seed: u64) -> WorkerExit {
-    let mut stats = WorkerStats::default();
-    let mut wobs = WorkerObs::new();
-    // The whole-worker span guarantees every worker track carries at
-    // least one event, even for a worker that never won a task.
-    let span = SpanStamp::begin();
-    let mut scratch = PayloadScratch::new(arena);
+/// A worker thread's life: scan the active graphs, serve each one that
+/// has work for it, and park on the executor-wide parker only after a
+/// complete pass found none.
+fn worker_main(w: usize, core: &Core) {
+    let mut scratch = PayloadScratch::new(&core.arena);
     let mut ready: Vec<u32> = Vec::with_capacity(64);
-    let mut rng = seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    let me = &shared.deques[w];
-    let threads = shared.deques.len();
     // Victim scan order, refilled each idle scan (reused so the steady
     // state allocates nothing).
-    let mut victims: Vec<usize> = Vec::with_capacity(threads);
+    let mut victims: Vec<usize> = Vec::with_capacity(core.cfg.threads);
+    let mut graphs: Vec<Arc<Graph>> = Vec::new();
+    let mut seen_generation = u64::MAX;
+    loop {
+        // Epoch first, then the registry generation, then the scans:
+        // work pushed or a graph registered after this point moves the
+        // epoch past `epoch` and aborts the park (§8.2).
+        let mut epoch = core.parker.current_epoch();
+        let generation = core.generation.load(Ordering::SeqCst);
+        if generation != seen_generation {
+            graphs.clone_from(&lock(&core.active));
+            seen_generation = generation;
+        }
+        if core.shut_down() {
+            return;
+        }
+        // The park epoch is the one read before the *first* graph's
+        // final (failed) scan: every later graph's final scan follows
+        // it, so a park against it misses no push (§8.2).
+        let mut first_scan: Option<u64> = None;
+        let live = graphs.len();
+        for i in 0..live {
+            let g = &graphs[(w + i) % live];
+            if !g.attach(w) {
+                continue;
+            }
+            let served = catch_unwind(AssertUnwindSafe(|| {
+                serve_graph(w, g, &mut scratch, &mut ready, &mut victims)
+            }));
+            let scanned = served.unwrap_or_else(|p| {
+                // Participant-boundary containment: an executor-bug
+                // panic aborts this graph with a structured error; the
+                // worker leaves it and goes on serving the others.
+                g.note_infra_panic(panic_message(&*p));
+                // RELAXED: `lost` is written and read only by worker `w` itself
+                g.slots[w].lost.store(1, Ordering::Relaxed);
+                None
+            });
+            g.detach();
+            first_scan = first_scan.or(scanned);
+        }
+        epoch = first_scan.unwrap_or(epoch);
+        // A graph registered since the snapshot was taken has not been
+        // scanned: rescan instead of parking.
+        if core.generation.load(Ordering::SeqCst) == seen_generation {
+            // A parked worker holds no graph: a finalized graph's state
+            // is freed as soon as its participants go idle, not when
+            // the next graph's first wake makes them re-snapshot.
+            graphs.clear();
+            seen_generation = u64::MAX;
+            core.parker.park(epoch, || core.shut_down());
+        }
+    }
+}
+
+/// Runs graph `g` on worker `w` until `g` has no work for `w` (or is
+/// stopping), then publishes the worker's counters and sink into its
+/// slot. Returns the parker epoch read just before the final, failed
+/// scan of `g` (`None` when the worker stopped serving `g` without one:
+/// the graph is stopping or lost the worker, so it needs no rescan).
+fn serve_graph(
+    w: usize,
+    g: &Graph,
+    scratch: &mut PayloadScratch<'_>,
+    ready: &mut Vec<u32>,
+    victims: &mut Vec<usize>,
+) -> Option<u64> {
+    let slot = &g.slots[w];
+    let mut stats = WorkerStats::default();
+    // The sink only carries data in RingSink builds; NoopSink builds
+    // skip the slot's lock entirely.
+    let mut wobs = if tss_obs::ENABLED {
+        lock(&slot.obs).take().unwrap_or_default()
+    } else {
+        WorkerObs::new()
+    };
+    // RELAXED: rng slot is private to worker `w`
+    let mut rng = slot.rng.load(Ordering::Relaxed);
+    let me = &g.deques[w];
+    let threads = g.deques.len();
+    let mut scanned = None;
+    let mut killed = false;
     // Injected worker loss: the worker whose task took completion
-    // ticket K dies right after that completion — a clean kill (ticket
-    // taken, successors released), so the run still terminates; only
-    // the parallelism degrades. Keyed on the ticket, not on timing, so
-    // exactly one worker dies in every run that reaches ticket K.
-    let kill_slot = shared.plan.kill_at_ticket.and_then(|k| shared.order.get(k));
+    // ticket K leaves the graph right after that completion — a clean
+    // kill (ticket taken, successors released), so the graph still
+    // terminates; only its parallelism degrades. Keyed on the ticket,
+    // not on timing, so exactly one worker is lost in every graph that
+    // reaches ticket K.
+    let kill_slot = g.plan.kill_at_ticket.and_then(|k| g.order.get(k));
     let took_kill_ticket = move |t: u32| {
         // RELAXED: order[K] is stored once, by the ticket's taker; only the taker can read its own
         // task id back here, every other worker sees another id or the unset sentinel
@@ -1128,8 +1594,9 @@ fn worker_loop(w: usize, shared: &Shared<'_>, arena: &[u8], seed: u64) -> Worker
             let burst = Stamp::now();
             let before = stats.executed;
             loop {
-                run_task(t, w, shared, &mut scratch, &mut stats, &mut ready, &mut wobs);
+                run_task(t, w, g, scratch, &mut stats, ready, &mut wobs);
                 if took_kill_ticket(t) {
+                    killed = true;
                     break;
                 }
                 match me.pop() {
@@ -1139,114 +1606,98 @@ fn worker_loop(w: usize, shared: &Shared<'_>, arena: &[u8], seed: u64) -> Worker
             }
             let end = Stamp::now();
             stats.busy += end.since(burst);
-            wobs.burst(burst, end, stats.executed - before, &shared.obs);
-            if took_kill_ticket(t) {
-                // Leave abandoned work visible: wake everyone so the
-                // survivors rescan and adopt this deque.
-                shared.parker.wake_all();
-                wobs.worker_span(w as u32, span, &shared.obs);
-                return WorkerExit::Killed(stats, wobs);
+            wobs.burst(burst, end, stats.executed - before, &g.obs);
+            if killed {
+                break;
             }
         }
-        if shared.stopping() {
+        if g.stopping() {
+            scanned = None;
             break;
         }
-        // Epoch before the scans: any push after a failed scan moves
-        // the epoch and aborts the park (§8 Dekker pairing).
-        let epoch = shared.parker.current_epoch();
-        let task = shared.injector.steal_batch_into(me, BATCH_MAX).or_else(|| {
+        // Epoch before the scan: a push after a failed scan moves the
+        // epoch and aborts the worker's park (§8 Dekker pairing).
+        scanned = Some(g.core.parker.current_epoch());
+        let task = g.injector.steal_batch_into(me, BATCH_MAX).or_else(|| {
             // One seeded random rotation over every other worker. The
             // scan stays *complete* — every deque is visited — which
             // the park/termination argument requires (§8).
             if threads > 1 {
-                rotate_victims(w, threads, splitmix(&mut rng), &mut victims);
+                rotate_victims(w, threads, splitmix(&mut rng), victims);
             }
             victims.iter().find_map(|&victim| {
-                let t = shared.deques[victim].steal_batch_into(me, BATCH_MAX);
+                let t = g.deques[victim].steal_batch_into(me, BATCH_MAX);
                 if t.is_some() {
                     stats.steals += 1;
-                    wobs.steal(victim as u32, &shared.obs);
+                    wobs.steal(victim as u32, &g.obs);
                 }
                 t
             })
         });
-        match task {
-            Some(t) => {
-                // A successful batch steal banked surplus: chain one
-                // wake so other idle workers can re-balance too.
-                if !me.is_empty() && shared.parker.has_idle() {
-                    shared.parker.wake_one();
-                    wobs.wake(&shared.obs);
-                }
-                let burst = Stamp::now();
-                let before = stats.executed;
-                run_task(t, w, shared, &mut scratch, &mut stats, &mut ready, &mut wobs);
-                let end = Stamp::now();
-                stats.busy += end.since(burst);
-                wobs.burst(burst, end, stats.executed - before, &shared.obs);
-                if took_kill_ticket(t) {
-                    shared.parker.wake_all();
-                    wobs.worker_span(w as u32, span, &shared.obs);
-                    return WorkerExit::Killed(stats, wobs);
-                }
-            }
-            None => {
-                if shared.stopping() {
-                    break;
-                }
-                let parked = wobs.park_begin();
-                shared.parker.park(epoch, || shared.stopping());
-                wobs.park(parked, &shared.obs);
-            }
+        let Some(t) = task else { break };
+        // A successful batch steal banked surplus: chain one wake so
+        // other idle workers can re-balance too.
+        if !me.is_empty() && g.core.parker.has_idle() {
+            g.core.parker.wake_one();
+            wobs.wake(&g.obs);
+        }
+        let burst = Stamp::now();
+        let before = stats.executed;
+        run_task(t, w, g, scratch, &mut stats, ready, &mut wobs);
+        let end = Stamp::now();
+        stats.busy += end.since(burst);
+        wobs.burst(burst, end, stats.executed - before, &g.obs);
+        if took_kill_ticket(t) {
+            killed = true;
+            break;
         }
     }
-    wobs.worker_span(w as u32, span, &shared.obs);
-    WorkerExit::Finished(stats, wobs)
+    // RELAXED: slot counters are published to the finalizer by the DETACH_PUBLISH RMW that follows
+    slot.executed.fetch_add(stats.executed, Ordering::Relaxed);
+    // RELAXED: as above, published by the detach RMW
+    slot.steals.fetch_add(stats.steals, Ordering::Relaxed);
+    // RELAXED: as above, published by the detach RMW
+    slot.busy_ns.fetch_add(stats.busy.as_nanos() as u64, Ordering::Relaxed);
+    // RELAXED: rng slot is private to worker `w`
+    slot.rng.store(rng, Ordering::Relaxed);
+    if tss_obs::ENABLED {
+        *lock(&slot.obs) = Some(wobs);
+    }
+    if killed {
+        // RELAXED: `lost` is written and read only by worker `w` itself
+        slot.lost.store(1, Ordering::Relaxed);
+        // Leave abandoned work visible: wake everyone so the survivors
+        // rescan and adopt this deque.
+        g.core.parker.wake_all();
+        return None;
+    }
+    scanned
 }
 
-/// The deadline watchdog: a polling thread (the facade condvar has no
+/// The deadline watchdog: one thread per executor. It blocks without a
+/// timeout while no graph has a deadline armed; otherwise it polls the
+/// armed graphs every 200 µs (the facade condvar has no
 /// `wait_timeout`, and 200 µs polls are noise against ms-scale
-/// deadlines) that cancels expired attempts and aborts the run past its
-/// deadline. Spawned only when a deadline is armed; exits as soon as
-/// the run stops.
-fn watchdog_loop(shared: &Shared<'_>) {
+/// deadlines), cancelling expired attempts and aborting graphs past
+/// their run deadline.
+fn watchdog_main(core: &Core) {
     loop {
-        if shared.stopping() {
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(200));
-        let now = shared.t0.elapsed().as_nanos() as u64;
-        for slot in &shared.watch {
-            let dl = slot.deadline_ns.load(Ordering::Acquire);
-            if dl != 0 && now >= dl {
-                slot.cancel.store(1, Ordering::Release);
-            }
-        }
-        if shared.run_deadline_ns != 0 && now >= shared.run_deadline_ns {
-            shared.run_deadline_hit.store(1, Ordering::Release);
-            // Cancel every in-flight payload, then abort: workers
-            // observe `Aborted` attempts and exit without completing.
-            for slot in &shared.watch {
-                slot.cancel.store(1, Ordering::Release);
-            }
-            shared.request_abort();
-            return;
-        }
-        // External cancellation (DESIGN.md §14.3): same abort protocol
-        // as the run deadline, but reported as `ExecError::Cancelled`.
-        // With no deadline armed there are no watch slots, so an
-        // in-flight payload finishes before its worker observes the
-        // abort on the idle path — cancellation is prompt, not
-        // preemptive.
-        if let Some(token) = &shared.cancel {
-            if token.is_cancelled() {
-                shared.cancel_hit.store(1, Ordering::Release);
-                for slot in &shared.watch {
-                    slot.cancel.store(1, Ordering::Release);
+        let armed: Vec<Arc<Graph>> = {
+            let mut watched = lock(&core.watched);
+            loop {
+                watched.retain(|g| !g.stopping());
+                if !watched.is_empty() {
+                    break watched.clone();
                 }
-                shared.request_abort();
-                return;
+                if core.shut_down() {
+                    return;
+                }
+                watched = core.watch_cv.wait(watched).unwrap_or_else(|e| e.into_inner());
             }
+        };
+        std::thread::sleep(Duration::from_micros(200));
+        for g in &armed {
+            g.watch_tick();
         }
     }
 }
@@ -1259,9 +1710,8 @@ fn watchdog_loop(shared: &Shared<'_>) {
 /// order.
 type PairBuf = Vec<(u32, u32)>;
 
-/// Decode-side shared state for a streaming run.
-struct DecodeShared<'a> {
-    trace: &'a TaskTrace,
+/// A graph's decode-side state.
+struct DecodeState {
     window: usize,
     windows: usize,
     shards: usize,
@@ -1275,9 +1725,7 @@ struct DecodeShared<'a> {
     bufs: Vec<Vec<Mutex<PairBuf>>>,
     /// Serializes window commits and owns the committer-side cursors.
     commit: Mutex<CommitState>,
-    /// Wall-clock anchor for [`ExecReport::decode_wall`].
-    started: Stamp,
-    /// Nanoseconds from `started` to the last commit.
+    /// Nanoseconds from the graph's `t0` to its last commit.
     decode_span_ns: AtomicU64,
 }
 
@@ -1293,12 +1741,10 @@ struct CommitState {
     scratch: Vec<u32>,
 }
 
-impl<'a> DecodeShared<'a> {
-    fn new(trace: &'a TaskTrace, window: usize, shards: usize) -> Self {
-        let n = trace.len();
+impl DecodeState {
+    fn new(n: usize, window: usize, shards: usize) -> Self {
         let windows = n.div_ceil(window.max(1));
-        DecodeShared {
-            trace,
+        DecodeState {
             window,
             windows,
             shards,
@@ -1312,7 +1758,6 @@ impl<'a> DecodeShared<'a> {
                 edges: 0,
                 scratch: Vec::new(),
             }),
-            started: Stamp::now(),
             decode_span_ns: AtomicU64::new(0),
         }
     }
@@ -1321,8 +1766,8 @@ impl<'a> DecodeShared<'a> {
     /// cursor. Called by whichever shard thread finished a window last;
     /// the commit mutex makes the committer role migrate safely (the
     /// injector's owner contract rides the same lock).
-    fn commit_ready(&self, shared: &Shared<'_>, dobs: &mut WorkerObs) {
-        let mut st = self.commit.lock().expect("commit state poisoned");
+    fn commit_ready(&self, shared: &Graph, dobs: &mut WorkerObs) {
+        let mut st = lock(&self.commit);
         let mut pushed_roots = false;
         while st.next_window < self.windows {
             let w = st.next_window;
@@ -1330,11 +1775,9 @@ impl<'a> DecodeShared<'a> {
                 break;
             }
             let lo = w * self.window;
-            let hi = ((w + 1) * self.window).min(self.trace.len());
-            let views: Vec<PairBuf> = self.bufs[w]
-                .iter()
-                .map(|m| std::mem::take(&mut *m.lock().expect("window buffer poisoned")))
-                .collect();
+            let hi = ((w + 1) * self.window).min(shared.n);
+            let views: Vec<PairBuf> =
+                self.bufs[w].iter().map(|m| std::mem::take(&mut *lock(m))).collect();
             let mut cursors = vec![0usize; self.shards];
             let mut scratch = std::mem::take(&mut st.scratch);
             let mut node_cursor = st.node_cursor;
@@ -1396,41 +1839,72 @@ impl<'a> DecodeShared<'a> {
         let finished = st.next_window == self.windows;
         drop(st);
         if finished {
-            let ns = self.started.elapsed().as_nanos() as u64;
-            // RELAXED: decode-span metric fetch_max; diagnostic timing only, never a correctness
-            // input
+            let ns = shared.t0.elapsed().as_nanos() as u64;
+            // RELAXED: decode-span metric fetch_max; published to the finalizer by the detach RMW
             self.decode_span_ns.fetch_max(ns, Ordering::Relaxed);
         }
         if pushed_roots {
             // One wake per commit, not per task: parked workers rescan
             // the injector and re-balance via batch steals.
-            shared.parker.wake_all();
+            shared.core.parker.wake_all();
         }
     }
 }
 
-/// One decode shard thread: scan every window (in order — the shard's
-/// rename state is sequential), commit whenever this shard is the last
-/// to finish a window.
-fn decode_loop(
-    shard: usize,
-    renaming: bool,
-    dec: &DecodeShared<'_>,
-    shared: &Shared<'_>,
-) -> (RenameStats, WorkerObs) {
-    let mut dobs = WorkerObs::new();
-    let mut state = ShardState::new(renaming, shard as u32, dec.shards as u32);
-    for w in 0..dec.windows {
-        let lo = w * dec.window;
-        let hi = ((w + 1) * dec.window).min(dec.trace.len());
-        let sp = SpanStamp::begin();
-        {
-            let mut buf = dec.bufs[w][shard].lock().expect("window buffer poisoned");
-            state.scan(dec.trace, lo, hi, &mut buf);
+/// A decode shard thread's life: take the next graph from this shard's
+/// queue, rename its partition window by window, detach, repeat.
+fn decoder_main(shard: usize, core: &Core) {
+    let queue = &core.decode[shard];
+    loop {
+        let g = {
+            let mut graphs = lock(&queue.graphs);
+            loop {
+                if let Some(g) = graphs.pop_front() {
+                    break g;
+                }
+                if core.shut_down() {
+                    return;
+                }
+                graphs = queue.cv.wait(graphs).unwrap_or_else(|e| e.into_inner());
+            }
+        };
+        // Participant-boundary containment: a decoder panic (an
+        // executor bug) aborts the graph with a structured error.
+        match catch_unwind(AssertUnwindSafe(|| decode_loop(shard, &g))) {
+            Ok((stats, dobs)) => {
+                let mut rename = lock(&g.rename);
+                rename.objects += stats.objects;
+                rename.tracked_operands += stats.tracked_operands;
+                rename.removed_by_renaming += stats.removed_by_renaming;
+                drop(rename);
+                lock(&g.decode_obs).push(dobs);
+            }
+            Err(p) => g.note_infra_panic(panic_message(&*p)),
         }
-        dobs.scan(w as u32, sp, &shared.obs);
+        g.detach();
+    }
+}
+
+/// One shard's pass over one graph: scan every window (in order — the
+/// shard's rename state is sequential), commit whenever this shard is
+/// the last to finish a window. An aborted graph stops being decoded at
+/// the next window boundary.
+fn decode_loop(shard: usize, g: &Graph) -> (RenameStats, WorkerObs) {
+    let dec = &g.dec;
+    let trace = g.trace();
+    let mut dobs = WorkerObs::new();
+    let mut state = ShardState::new(g.core.cfg.renaming, shard as u32, dec.shards as u32);
+    for w in 0..dec.windows {
+        if g.aborted() {
+            break;
+        }
+        let lo = w * dec.window;
+        let hi = ((w + 1) * dec.window).min(g.n);
+        let sp = SpanStamp::begin();
+        state.scan(trace, lo, hi, &mut lock(&dec.bufs[w][shard]));
+        dobs.scan(w as u32, sp, &g.obs);
         if dec.scan_done[w].fetch_add(1, Ordering::AcqRel) + 1 == dec.shards {
-            dec.commit_ready(shared, &mut dobs);
+            dec.commit_ready(g, &mut dobs);
         }
     }
     (*state.stats(), dobs)
@@ -1440,33 +1914,81 @@ fn decode_loop(
 // Executor
 // ---------------------------------------------------------------------
 
-/// The native out-of-order task executor.
+/// The native out-of-order task executor: a pool of worker, decode and
+/// watchdog threads started once, fed any number of graphs, and joined
+/// when it is dropped.
 ///
 /// ```
 /// use tss_exec::{ExecConfig, Executor};
 /// use tss_workloads::{Benchmark, Scale};
 ///
 /// let trace = Benchmark::Cholesky.trace(Scale::Small, 1);
-/// let report = Executor::new(ExecConfig { threads: 2, ..ExecConfig::default() })
-///     .run(&trace)
-///     .expect("replay failed");
-/// assert_eq!(report.tasks, trace.len());
-/// assert!(report.validated);
+/// let exec = Executor::new(ExecConfig { threads: 2, ..ExecConfig::default() });
+/// for _ in 0..2 {
+///     let report = exec.run(&trace).expect("replay failed");
+///     assert_eq!(report.tasks, trace.len());
+///     assert!(report.validated);
+/// }
 /// ```
-#[derive(Debug, Clone, Default)]
 pub struct Executor {
-    config: ExecConfig,
+    core: Arc<Core>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for Executor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Executor").field("config", &self.core.cfg).finish_non_exhaustive()
+    }
+}
+
+/// Whether `payload` reads the source arena (memcpy, and mixed, whose
+/// memory class memcpys); building that 4 MB pattern would dominate
+/// short noop/spin replays, so other executors get a zeroed stub.
+fn reads_arena(payload: PayloadMode) -> bool {
+    matches!(payload, PayloadMode::Memcpy | PayloadMode::Mixed { .. })
+}
+
+/// A submitted graph's outcome, filled in by its finalizer.
+#[derive(Default)]
+struct ResultSlot {
+    value: Mutex<Option<Result<ExecReport, ExecError>>>,
+    cv: Condvar,
+}
+
+impl ResultSlot {
+    fn put(&self, result: Result<ExecReport, ExecError>) {
+        *lock(&self.value) = Some(result);
+        self.cv.notify_all();
+    }
+}
+
+/// The caller's side of a graph submitted with [`Executor::submit`].
+pub struct GraphHandle(Arc<ResultSlot>);
+
+impl GraphHandle {
+    /// Blocks until the graph is finalized and returns its outcome
+    /// (the same `Result` [`Executor::run`] returns).
+    pub fn wait(self) -> Result<ExecReport, ExecError> {
+        let mut value = lock(&self.0.value);
+        loop {
+            if let Some(result) = value.take() {
+                return result;
+            }
+            value = self.0.cv.wait(value).unwrap_or_else(|e| e.into_inner());
+        }
+    }
 }
 
 impl Executor {
-    /// An executor with the given configuration (`window` and
-    /// `decode_shards` are clamped to ≥ 1).
+    /// Starts an executor: `threads` workers, `decode_shards` decode
+    /// threads and one watchdog, all parked until graphs arrive
+    /// (`window` and `decode_shards` are clamped to ≥ 1).
     ///
     /// # Panics
     ///
-    /// Panics if `config.threads` is zero, or if `kill_at_ticket` is
-    /// set with fewer than two workers (a lone killed worker could
-    /// never finish the run).
+    /// Panics if `config.threads` is zero, if `kill_at_ticket` is set
+    /// with fewer than two workers (a lone killed worker could never
+    /// finish the run), or if the OS refuses a thread.
     pub fn new(mut config: ExecConfig) -> Self {
         assert!(config.threads >= 1, "the executor needs at least one worker");
         if config.kill_at_ticket.is_some() {
@@ -1474,174 +1996,214 @@ impl Executor {
         }
         config.window = config.window.max(1);
         config.decode_shards = config.decode_shards.max(1);
-        Executor { config }
+        let (workers, shards) = (config.threads, config.decode_shards);
+        let arena = if reads_arena(config.payload) {
+            build_arena()
+        } else {
+            vec![0u8; 2 * tss_workloads::payload::CHUNK_CAP]
+        };
+        let core = Arc::new(Core {
+            cfg: config,
+            arena,
+            parker: Parker::new(),
+            active: Mutex::new(Vec::new()),
+            idle: Condvar::new(),
+            generation: CachePadded::new(AtomicU64::new(0)),
+            decode: (0..shards)
+                .map(|_| DecodeQueue { graphs: Mutex::new(VecDeque::new()), cv: Condvar::new() })
+                .collect(),
+            watched: Mutex::new(Vec::new()),
+            watch_cv: Condvar::new(),
+            shutdown: AtomicU32::new(0),
+        });
+        let spawn = |name: String, body: Box<dyn FnOnce(&Core) + Send>| {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || body(&core))
+                .expect("spawn an executor thread")
+        };
+        let mut threads = Vec::with_capacity(workers + shards + 1);
+        for w in 0..workers {
+            threads.push(spawn(format!("tss-worker-{w}"), Box::new(move |c| worker_main(w, c))));
+        }
+        for sh in 0..shards {
+            threads.push(spawn(format!("tss-decode-{sh}"), Box::new(move |c| decoder_main(sh, c))));
+        }
+        threads.push(spawn("tss-watchdog".into(), Box::new(watchdog_main)));
+        Executor { core, threads }
     }
 
     /// The configuration.
     pub fn config(&self) -> &ExecConfig {
-        &self.config
+        &self.core.cfg
     }
 
-    /// Streams `trace` through the pipelined core: decode shard threads
-    /// rename window by window while workers already execute committed
-    /// windows.
+    /// Streams `trace` through the executor with the configuration's
+    /// per-graph options and waits for its outcome: submit + wait,
+    /// without copying the trace.
     ///
     /// # Errors
     ///
     /// [`ExecError::TaskFailed`] under `FailFast`, `RunDeadline` past
-    /// the run budget, `WorkerPanic` for a non-payload thread death,
-    /// and `OracleViolation` if validation rejects the completion log.
-    /// Task failures under `Retry`/`Quarantine` are *not* errors: they
-    /// come back inside [`ExecReport::fault`].
+    /// the run budget, `Cancelled` when the cancel token fired,
+    /// `WorkerPanic` for an executor-bug panic, and `OracleViolation`
+    /// if validation rejects the completion log. Task failures under
+    /// `Retry`/`Quarantine` are *not* errors: they come back inside
+    /// [`ExecReport::fault`].
     pub fn run(&self, trace: &TaskTrace) -> Result<ExecReport, ExecError> {
-        let n = trace.len();
-        let threads = self.config.threads;
-        let shards = self.config.decode_shards;
-        let shared = Shared::new(trace, &self.config);
-        let arena = self.arena();
-        // Constructed last: `dec.started` anchors the decode span, so
-        // nothing non-decode (notably the memcpy arena build) may sit
-        // between it and the run start.
-        let dec = DecodeShared::new(trace, self.config.window, shards);
+        // `wait` returns only after the finalizer filled the slot, so
+        // the lent trace outlives every use (see `Graph::trace`).
+        let ptr = TracePtr(NonNull::from(trace));
+        self.launch_handle(ptr, None, self.core.cfg.graph_options()).wait()
+    }
 
-        let t0 = dec.started;
-        let mut workers = vec![WorkerStats::default(); threads];
-        let mut worker_obs: Vec<WorkerObs> = (0..threads).map(|_| WorkerObs::new()).collect();
-        let mut decode_obs: Vec<WorkerObs> = Vec::with_capacity(shards);
-        let mut rename = RenameStats::default();
-        let mut workers_lost = 0usize;
-        if n > 0 {
-            std::thread::scope(|scope| {
-                if shared.watchdog_armed() {
-                    let shared = &shared;
-                    scope.spawn(move || watchdog_loop(shared));
-                }
-                let decoders: Vec<_> = (0..shards)
-                    .map(|sh| {
-                        let dec = &dec;
-                        let shared = &shared;
-                        let renaming = self.config.renaming;
-                        scope.spawn(move || {
-                            // Thread-boundary containment: a decoder
-                            // panic (an executor bug) aborts the run
-                            // with a structured error instead of a
-                            // process abort at join time.
-                            catch_unwind(AssertUnwindSafe(|| {
-                                decode_loop(sh, renaming, dec, shared)
-                            }))
-                            .unwrap_or_else(|p| {
-                                shared.note_infra_panic(panic_message(&*p));
-                                (RenameStats::default(), WorkerObs::new())
-                            })
-                        })
-                    })
-                    .collect();
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let shared = &shared;
-                        let arena = &arena[..];
-                        let seed = self.config.seed;
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| worker_loop(w, shared, arena, seed)))
-                                .map_err(|p| shared.note_infra_panic(panic_message(&*p)))
-                        })
-                    })
-                    .collect();
-                for d in decoders {
-                    if let Ok((stats, dobs)) = d.join() {
-                        rename.objects += stats.objects;
-                        rename.tracked_operands += stats.tracked_operands;
-                        rename.removed_by_renaming += stats.removed_by_renaming;
-                        decode_obs.push(dobs);
-                    }
-                }
-                for (w, h) in handles.into_iter().enumerate() {
-                    match h.join() {
-                        Ok(Ok(WorkerExit::Finished(stats, wobs))) => {
-                            workers[w] = stats;
-                            worker_obs[w] = wobs;
-                        }
-                        Ok(Ok(WorkerExit::Killed(stats, wobs))) => {
-                            workers[w] = stats;
-                            worker_obs[w] = wobs;
-                            workers_lost += 1;
-                        }
-                        // The closure caught the panic already (and
-                        // noted it); a dead worker is a lost worker.
-                        Ok(Err(())) | Err(_) => workers_lost += 1,
-                    }
-                }
-            });
+    /// Submits a graph; [`GraphHandle::wait`] collects its outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.kill_at_ticket` is set on a one-worker executor,
+    /// or if `opts.payload` reads an arena this executor lacks.
+    pub fn submit(&self, trace: Arc<TaskTrace>, opts: GraphOptions) -> GraphHandle {
+        let ptr = TracePtr(NonNull::from(&*trace));
+        self.launch_handle(ptr, Some(trace), opts)
+    }
+
+    /// Submits a graph whose outcome is handed to `on_done` instead of
+    /// a handle. `on_done` runs exactly once, on an executor thread,
+    /// after the graph is finalized; it should not block for long.
+    ///
+    /// # Panics
+    ///
+    /// As [`Executor::submit`].
+    pub fn submit_with(
+        &self,
+        trace: Arc<TaskTrace>,
+        opts: GraphOptions,
+        on_done: impl FnOnce(Result<ExecReport, ExecError>) + Send + 'static,
+    ) {
+        let ptr = TracePtr(NonNull::from(&*trace));
+        self.launch(ptr, Some(trace), opts, Box::new(on_done));
+    }
+
+    /// [`Executor::launch`] with a [`GraphHandle`] as the completion.
+    fn launch_handle(
+        &self,
+        trace: TracePtr,
+        owner: Option<Arc<TaskTrace>>,
+        opts: GraphOptions,
+    ) -> GraphHandle {
+        let slot = Arc::new(ResultSlot::default());
+        let fill = Arc::clone(&slot);
+        self.launch(trace, owner, opts, Box::new(move |r| fill.put(r)));
+        GraphHandle(slot)
+    }
+
+    /// The one submission path: build the graph state, arm its cancel
+    /// token, register it.
+    fn launch(
+        &self,
+        trace: TracePtr,
+        owner: Option<Arc<TaskTrace>>,
+        opts: GraphOptions,
+        on_done: Completion,
+    ) {
+        if opts.kill_at_ticket.is_some() {
+            assert!(self.core.cfg.threads >= 2, "kill_at_ticket needs at least two workers");
         }
-        let exec_wall = t0.elapsed();
-        rename.enforced_edges = dec.commit.lock().expect("commit state poisoned").edges;
-        // RELAXED: decode-span metric read after decode threads joined
-        let decode_wall = Duration::from_nanos(dec.decode_span_ns.load(Ordering::Relaxed));
+        assert!(
+            reads_arena(self.core.cfg.payload) || !reads_arena(opts.payload),
+            "a {} graph needs an executor built with a memcpy or mixed payload",
+            opts.payload.name()
+        );
+        let g = Arc::new(Graph::new(&self.core, trace, owner, &opts, on_done));
+        if let Some(token) = &opts.cancel {
+            // Before registration: a token that already fired aborts
+            // the graph before any thread can see it.
+            token.arm(&g);
+        }
+        self.core.register(&g);
+    }
+}
+
+impl Drop for Executor {
+    /// Lets every submitted graph finish, then stops and joins the
+    /// threads.
+    fn drop(&mut self) {
+        let core = &self.core;
+        let mut active = lock(&core.active);
+        while !active.is_empty() {
+            active = core.idle.wait(active).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(active);
+        core.shutdown.store(1, Ordering::Release);
+        core.parker.wake_all();
+        for q in &core.decode {
+            let _g = lock(&q.graphs);
+            q.cv.notify_all();
+        }
+        {
+            let _g = lock(&core.watched);
+            core.watch_cv.notify_all();
+        }
+        for h in self.threads.drain(..) {
+            // Every thread body contains its graphs' panics; a join
+            // error here could only come from outside them.
+            let _ = h.join();
+        }
+    }
+}
+
+impl Graph {
+    /// The graph's verdict, built by the finalizer once every
+    /// participant has detached.
+    fn report(&self) -> Result<ExecReport, ExecError> {
+        let exec_wall = self.t0.elapsed();
+        // RELAXED: decode-span metric read by the finalizer after the detach RMWs
+        let decode_wall = Duration::from_nanos(self.dec.decode_span_ns.load(Ordering::Relaxed));
         let overlap = if exec_wall.as_secs_f64() > 0.0 {
             100.0 * decode_wall.as_secs_f64().min(exec_wall.as_secs_f64()) / exec_wall.as_secs_f64()
         } else {
             0.0
         };
-        let extras =
-            FinishExtras { decode_wall, exec_wall, overlap, workers_lost, worker_obs, decode_obs };
-        self.finish(trace, shared, extras, workers, rename)
-    }
-
-    /// Only memcpy (and mixed, whose memory class memcpys) reads the
-    /// source arena; noop/spin runs get a minimal zeroed one (building
-    /// the 4 MB pattern would dominate short replays).
-    fn arena(&self) -> Vec<u8> {
-        match self.config.payload {
-            PayloadMode::Memcpy | PayloadMode::Mixed { .. } => build_arena(),
-            _ => vec![0u8; 2 * tss_workloads::payload::CHUNK_CAP],
-        }
-    }
-
-    fn finish(
-        &self,
-        trace: &TaskTrace,
-        shared: Shared<'_>,
-        extras: FinishExtras,
-        workers: Vec<WorkerStats>,
-        rename: RenameStats,
-    ) -> Result<ExecReport, ExecError> {
-        let FinishExtras { decode_wall, exec_wall, overlap, workers_lost, worker_obs, decode_obs } =
-            extras;
         // Error resolution order: infrastructure death first (nothing
-        // else is trustworthy after an executor-bug panic), then the
-        // run deadline, then a fail-fast task failure.
-        let infra = shared.infra_panic.lock().expect("infra panic slot poisoned").take();
+        // else is trustworthy after an executor-bug panic), then
+        // cancellation and the run deadline (unless every task already
+        // took its ticket: a late abort changes nothing), then a
+        // fail-fast task failure.
+        let infra = lock(&self.infra_panic).take();
         if let Some(message) = infra {
             return Err(ExecError::WorkerPanic { message });
         }
-        let completed = shared.next_ticket.load(Ordering::Acquire).min(shared.n);
-        if shared.cancel_hit.load(Ordering::Acquire) != 0 {
-            return Err(ExecError::Cancelled { completed, tasks: shared.n });
+        let completed = self.next_ticket.load(Ordering::Acquire).min(self.n);
+        let drained = completed == self.n;
+        if !drained && self.cancel_hit.load(Ordering::Acquire) != 0 {
+            return Err(ExecError::Cancelled { completed, tasks: self.n });
         }
-        if shared.run_deadline_hit.load(Ordering::Acquire) != 0 {
+        if !drained && self.run_deadline_hit.load(Ordering::Acquire) != 0 {
             return Err(ExecError::RunDeadline {
-                deadline: self.config.run_deadline.unwrap_or_default(),
+                deadline: self.run_deadline.unwrap_or_default(),
                 completed,
-                tasks: shared.n,
+                tasks: self.n,
             });
         }
-        let mut failed =
-            std::mem::take(&mut *shared.failures.lock().expect("failure log poisoned"));
+        let mut failed = std::mem::take(&mut *lock(&self.failures));
         failed.sort_by_key(|f| f.task);
-        if matches!(self.config.policy, FailurePolicy::FailFast) && !failed.is_empty() {
+        if matches!(self.policy, FailurePolicy::FailFast) && !failed.is_empty() {
             return Err(ExecError::TaskFailed(failed.remove(0)));
         }
-        if shared.aborted() {
-            // Aborted without an infra panic, deadline, or fail-fast
-            // failure: cannot happen by construction; surface it rather
-            // than fabricating a report.
+        if !drained {
+            // Stopped short without an infra panic, deadline, cancel,
+            // or fail-fast failure: cannot happen by construction;
+            // surface it rather than fabricating a report.
             return Err(ExecError::WorkerPanic { message: "run aborted without a cause".into() });
         }
+        let trace = self.trace();
         let order: Vec<TaskId> =
-            // RELAXED: order slots read after all workers joined
-            shared.order.iter().map(|s| s.load(Ordering::Relaxed) as TaskId).collect();
+            // RELAXED: order slots read by the finalizer after the detach RMWs
+            self.order.iter().map(|s| s.load(Ordering::Relaxed) as TaskId).collect();
         assert_eq!(order.len(), trace.len(), "executor lost tasks");
-        let validated = self.config.validate;
+        let validated = self.core.cfg.validate;
         if validated {
             // The *full* log — failed and poisoned tasks included — must
             // linearize the dependency order: every task, whatever its
@@ -1652,34 +2214,58 @@ impl Executor {
                 return Err(ExecError::OracleViolation { detail: v.to_string() });
             }
         }
-        let poisoned: Vec<u32> = (0..shared.n as u32)
-            // RELAXED: final status-array scan after all workers joined
-            .filter(|&t| shared.status[t as usize].load(Ordering::Relaxed) == POISONED)
+        let poisoned: Vec<u32> = (0..self.n as u32)
+            // RELAXED: final status-array scan by the finalizer after the detach RMWs
+            .filter(|&t| self.status[t as usize].load(Ordering::Relaxed) == POISONED)
             .collect();
         let retry_hist: Vec<u64> =
-            // RELAXED: retry histogram read after all workers joined
-            shared.retry_hist.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+            // RELAXED: retry histogram read by the finalizer after the detach RMWs
+            self.retry_hist.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+        let mut workers = Vec::with_capacity(self.slots.len());
+        let mut worker_obs = Vec::with_capacity(self.slots.len());
+        let mut workers_lost = 0;
+        for (w, slot) in self.slots.iter().enumerate() {
+            // RELAXED: slot counters read by the finalizer after the detach RMWs that published
+            // them
+            let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+            workers.push(WorkerStats {
+                executed: load(&slot.executed),
+                steals: load(&slot.steals),
+                busy: Duration::from_nanos(load(&slot.busy_ns)),
+            });
+            // RELAXED: as above
+            workers_lost += (slot.lost.load(Ordering::Relaxed) != 0) as usize;
+            // The whole-graph span guarantees every worker track
+            // carries at least one event, even for a worker that never
+            // attached.
+            let mut wobs = lock(&slot.obs).take().unwrap_or_default();
+            wobs.worker_span(w as u32, self.span, &self.obs);
+            worker_obs.push(wobs);
+        }
         let fault = FaultReport {
             failed,
             poisoned,
-            // RELAXED: retried-ok read after all workers joined
-            retried_ok: shared.retried_ok.load(Ordering::Relaxed),
+            // RELAXED: retried-ok read by the finalizer after the detach RMWs
+            retried_ok: self.retried_ok.load(Ordering::Relaxed),
             retry_hist: if retry_hist.len() > 1 { retry_hist } else { Vec::new() },
             workers_lost,
         };
+        let mut rename = *lock(&self.rename);
+        rename.enforced_edges = lock(&self.dec.commit).edges;
         // Drain the per-worker sinks into the report (None in NoopSink
         // builds): histograms merge across workers, rings become
         // per-worker/per-shard tracks.
-        let obs = shared.obs.finish(worker_obs, decode_obs);
+        let decode_obs = std::mem::take(&mut *lock(&self.decode_obs));
+        let obs = self.obs.finish(worker_obs, decode_obs);
         Ok(ExecReport {
             benchmark: trace.name().to_string(),
-            tasks: trace.len(),
-            threads: self.config.threads,
-            payload: self.config.payload,
+            tasks: self.n,
+            threads: self.core.cfg.threads,
+            payload: self.payload,
             decode_wall,
             exec_wall,
             decode_overlap_pct: overlap,
-            decode_shards: self.config.decode_shards,
+            decode_shards: self.core.cfg.decode_shards,
             order,
             workers,
             rename,
@@ -1688,18 +2274,6 @@ impl Executor {
             obs,
         })
     }
-}
-
-/// Run measurements handed to `finish`.
-struct FinishExtras {
-    decode_wall: Duration,
-    exec_wall: Duration,
-    overlap: f64,
-    workers_lost: usize,
-    /// Per-worker observability sinks, in worker order.
-    worker_obs: Vec<WorkerObs>,
-    /// Per-decode-shard sinks.
-    decode_obs: Vec<WorkerObs>,
 }
 
 /// Re-exported for harness use: classifies a completion log against an
@@ -2071,13 +2645,73 @@ mod tests {
     }
 
     #[test]
+    fn token_fired_before_submit_cancels_before_any_task_runs() {
+        // Keyed on a logical state, not a sleep: the token fired before
+        // the graph existed, so no window commits and no task runs.
+        let tr = diamond_plus_loner();
+        let token = CancelToken::new();
+        token.cancel();
+        let cfg = ExecConfig { threads: 2, cancel: Some(token.clone()), ..ExecConfig::default() };
+        let exec = Executor::new(cfg);
+        for _ in 0..2 {
+            match exec.run(&tr) {
+                Err(ExecError::Cancelled { completed, tasks }) => {
+                    assert_eq!((completed, tasks), (0, tr.len()));
+                }
+                other => panic!("expected Cancelled {{ 0, {} }}, got {other:?}", tr.len()),
+            }
+        }
+        let opts = GraphOptions { cancel: Some(token), ..GraphOptions::default() };
+        match exec.submit(Arc::new(tr.clone()), opts).wait() {
+            Err(ExecError::Cancelled { completed: 0, tasks }) => assert_eq!(tasks, tr.len()),
+            other => panic!("expected Cancelled {{ 0, .. }}, got {other:?}"),
+        }
+        // The executor is unharmed: the next graph runs clean.
+        let clean = exec.submit(Arc::new(tr.clone()), GraphOptions::default()).wait();
+        assert_eq!(clean.expect("clean run").completed(), tr.len());
+    }
+
+    #[test]
     fn unfired_cancel_token_changes_nothing() {
         let tr = diamond_plus_loner();
         let token = CancelToken::new();
         let cfg = ExecConfig { threads: 2, cancel: Some(token.clone()), ..ExecConfig::default() };
-        let report = Executor::new(cfg).run(&tr).expect("armed-but-unfired run failed");
+        let exec = Executor::new(cfg);
+        // The graph state an armed token builds takes the fast lane: no
+        // watch slots, no guarded flag.
+        let g = Graph::new(
+            &exec.core,
+            TracePtr(NonNull::from(&tr)),
+            None,
+            &exec.config().graph_options(),
+            Box::new(|_| {}),
+        );
+        assert!(!g.guarded, "an armed token must not divert tasks to the guarded lane");
+        assert!(g.watch.is_empty(), "an armed token must not arm watch slots");
+        drop(g);
+        let report = exec.run(&tr).expect("armed-but-unfired run failed");
         assert_eq!(report.completed(), tr.len());
+        assert!(lock(&exec.core.watched).is_empty(), "the watchdog never saw the graph");
         assert!(!token.is_cancelled());
+    }
+
+    #[test]
+    fn one_executor_serves_many_concurrent_graphs() {
+        let tr = Arc::new(diamond_plus_loner());
+        let exec = Executor::new(ExecConfig { threads: 2, ..ExecConfig::default() });
+        let handles: Vec<_> = (0..16u64)
+            .map(|i| {
+                let opts = GraphOptions { seed: i, ..GraphOptions::default() };
+                exec.submit(Arc::clone(&tr), opts)
+            })
+            .collect();
+        for h in handles {
+            let report = h.wait().expect("concurrent graph failed");
+            assert_eq!(report.completed(), tr.len());
+            assert!(report.validated && report.accounting_reconciles());
+        }
+        // Dropping the executor with nothing in flight joins promptly.
+        drop(exec);
     }
 
     #[test]
@@ -2214,5 +2848,90 @@ mod model_tests {
             }
         });
         assert!(report.complete, "budget too small: {} schedules", report.schedules);
+    }
+
+    /// The §8.2 attach/detach/finalize handoff. A pre-attached decode
+    /// participant (the main thread) races two workers: worker 0
+    /// attaches, publishes its counters and sink, stops the graph (it
+    /// took the last ticket) and detaches; worker 1 attaches unless the
+    /// graph is already closed, publishes, and detaches. In every
+    /// interleaving exactly one detach finalizes, nobody is attached at
+    /// that moment, and the finalizer reads every detached worker's
+    /// counters and sink. The counters are Relaxed stores, so only the
+    /// release/acquire of the detach RMW (`DETACH_PUBLISH`) carries
+    /// them: `--cfg tss_bug_detach_relaxed` weakens exactly that RMW
+    /// and this test must then fail on a stale counter.
+    #[test]
+    fn model_graph_handoff_finalizes_once_after_every_detach() {
+        struct Fixture {
+            handoff: Handoff,
+            done: AtomicU32,
+            inside: AtomicUsize,
+            finalized: AtomicUsize,
+            stats: [AtomicU64; 2],
+            sinks: Mutex<Vec<usize>>,
+        }
+        fn finalize(f: &Fixture) {
+            assert_eq!(f.finalized.fetch_add(1, Ordering::AcqRel), 0, "finalized twice");
+            // RELAXED: model test: the detach chain is the only edge under test
+            assert_eq!(f.inside.load(Ordering::Relaxed), 0, "finalized with a worker attached");
+            // RELAXED: model test: published by worker 0's detach RMW alone
+            assert_eq!(f.stats[0].load(Ordering::Relaxed), 1, "stale counter from worker 0");
+            // RELAXED: model test: worker 1 may not have attached; when it did, its value shows
+            let w1 = f.stats[1].load(Ordering::Relaxed);
+            assert!(w1 == 0 || w1 == 2, "torn counter from worker 1");
+            let sinks = f.sinks.lock().unwrap();
+            assert!(sinks.contains(&0), "worker 0's sink missing");
+            assert_eq!(sinks.contains(&1), w1 == 2, "worker 1's sink and counter disagree");
+        }
+        fn participate(f: &Fixture, w: usize) {
+            if !f.handoff.attach() {
+                return;
+            }
+            // RELAXED: model test: attached-participant census, read by the finalizer
+            f.inside.fetch_add(1, Ordering::Relaxed);
+            // RELAXED: model test: the counter under test, published by the detach RMW
+            f.stats[w].store(w as u64 + 1, Ordering::Relaxed);
+            f.sinks.lock().unwrap().push(w);
+            if w == 0 {
+                f.done.store(1, Ordering::Release);
+            }
+            // RELAXED: model test: census decrement, published by the detach RMW
+            f.inside.fetch_sub(1, Ordering::Relaxed);
+            if f.handoff.detach(f.done.load(Ordering::Acquire) != 0) {
+                finalize(f);
+            }
+        }
+        // The exhaustive tree (three threads, weak-memory data choices)
+        // is past a 300k-schedule budget, so this runs PCT and random
+        // schedules under pinned seeds, like the two-element deque test.
+        let body = || {
+            let f = Arc::new(Fixture {
+                handoff: Handoff::new(1),
+                done: AtomicU32::new(0),
+                inside: AtomicUsize::new(1),
+                finalized: AtomicUsize::new(0),
+                stats: [AtomicU64::new(0), AtomicU64::new(0)],
+                sinks: Mutex::new(Vec::new()),
+            });
+            let workers: Vec<_> = (0..2)
+                .map(|w| {
+                    let f = f.clone();
+                    thread::spawn(move || participate(&f, w))
+                })
+                .collect();
+            // The decode participant: done with the graph, it leaves.
+            // RELAXED: model test: census decrement, published by the detach RMW
+            f.inside.fetch_sub(1, Ordering::Relaxed);
+            if f.handoff.detach(f.done.load(Ordering::Acquire) != 0) {
+                finalize(&f);
+            }
+            for w in workers {
+                w.join().unwrap();
+            }
+            assert_eq!(f.finalized.load(Ordering::Acquire), 1, "never finalized");
+        };
+        shuttle::check_pct(0x6A7A_0C13, 3_000, 3, body);
+        shuttle::check_random(0x0DE7_AC11, 3_000, body);
     }
 }

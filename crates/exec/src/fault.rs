@@ -162,8 +162,8 @@ pub enum ExecError {
         tasks: usize,
     },
     /// An external [`CancelToken`](crate::CancelToken) fired
-    /// (DESIGN.md §14.3): the run aborted cleanly and joined every
-    /// thread, but the graph did not drain.
+    /// (DESIGN.md §11.3): the graph aborted cleanly, but did not
+    /// drain.
     Cancelled {
         /// Tasks that had completed (incl. failed/poisoned) at the
         /// abort.
@@ -171,9 +171,9 @@ pub enum ExecError {
         /// Total tasks in the run.
         tasks: usize,
     },
-    /// A worker or decoder thread died from a non-payload panic (an
-    /// executor bug, or an injected worker kill under `FailFast`); the
-    /// run still joined every surviving thread.
+    /// A worker or decoder panicked outside a payload (an executor
+    /// bug) while serving the graph; the panic was contained and the
+    /// graph still finalized.
     WorkerPanic {
         /// Stringified panic payload from the first dead thread.
         message: String,
@@ -208,9 +208,9 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The resolved chaos configuration a run executes under. Built once by
-/// `Executor::run` from the `PayloadMode` and `ExecConfig`; workers
-/// only ever read it.
+/// The resolved chaos configuration a graph executes under. Built once
+/// per submitted graph from its `PayloadMode` and `GraphOptions`;
+/// workers only ever read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Injection probability in parts-per-million (0 = no injection).

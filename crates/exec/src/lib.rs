@@ -12,12 +12,13 @@
 //!    one in-order pass ([`Renamer`]) or streamed in windows with
 //!    address interning sharded across decode threads
 //!    ([`StreamingRenamer`] — the distributed-ORT analogy).
-//! 2. **[`executor`]** — real `std::thread` workers over lock-free
-//!    Chase-Lev work-stealing deques ([`deque`]), O(1) atomic
-//!    readiness counters, and pluggable [`payload`]s (no-op /
-//!    spin-for-runtime / memcpy-over-footprint). [`Executor::run`]
-//!    *pipelines* decode into execution: workers replay early windows
-//!    while decode threads still rename later ones.
+//! 2. **[`executor`]** — one persistent pool of `std::thread` workers
+//!    over lock-free Chase-Lev work-stealing deques ([`deque`]), O(1)
+//!    atomic readiness counters, and pluggable [`payload`]s (no-op /
+//!    spin-for-runtime / memcpy-over-footprint). Threads start once
+//!    and serve every graph [`Executor::submit`]ted to them; each
+//!    graph *pipelines* decode into execution: workers replay early
+//!    windows while decode threads still rename later ones.
 //! 3. **Validation & metrics** — every run emits a completion log that
 //!    is checked against the `tss-trace::DepGraph` oracle (a violating
 //!    order fails the run), plus tasks/sec, per-worker utilization,
@@ -62,7 +63,9 @@ pub mod renamer;
 pub mod sync;
 
 pub use deque::ChaseLev;
-pub use executor::{CancelToken, ExecConfig, ExecReport, Executor, WorkerStats};
+pub use executor::{
+    CancelToken, ExecConfig, ExecReport, Executor, GraphHandle, GraphOptions, WorkerStats,
+};
 pub use fault::{ExecError, FailedTask, FailurePolicy, FaultReport, InjectedFault, TaskFailure};
 pub use payload::PayloadMode;
 pub use renamer::{RenameStats, Renamer, StreamingRenamer, TaskGraph};

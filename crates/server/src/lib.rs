@@ -12,10 +12,11 @@
 //! - **Admission gate** — per-session inflight-graph quotas plus
 //!   cross-session queue-depth and queued-task watermarks that shed
 //!   with a structured `Overloaded{retry_after_ms}`.
-//! - **Executor pool** (DESIGN.md §14.3) — runner threads driving
-//!   `tss-exec` with quarantine failure policy, the client's
-//!   propagated deadline on the run-deadline watchdog, a per-run
-//!   [`tss_exec::CancelToken`], and `catch_unwind` containment.
+//! - **Executor pool** (DESIGN.md §14.3) — one persistent `tss-exec`
+//!   executor shared by every session: admitted graphs are submitted
+//!   straight to it with quarantine failure policy, the client's
+//!   propagated deadline as the run deadline, and a per-graph
+//!   [`tss_exec::CancelToken`].
 //! - **Drain** (DESIGN.md §14.4) — stop admissions, finish what the
 //!   drain deadline allows, cancel the rest, deliver every outcome,
 //!   then close. The invariant throughout: every *accepted* graph
@@ -41,15 +42,13 @@ use tss_exec::PayloadMode;
 use tss_proto::GraphOutcome;
 
 use gate::Gate;
-use pool::{Pool, PoolShared, RunCtx};
+use pool::{Pool, RunCtx};
 
 /// Everything tunable about a server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Executor worker threads per graph run.
+    /// Worker threads of the one executor every graph runs on.
     pub exec_threads: usize,
-    /// Concurrent graph runs (runner threads).
-    pub runners: usize,
     /// Per-session inflight-graph quota (open + queued + running).
     pub quota: u32,
     /// Admission watermark: admitted-but-unfinished graphs.
@@ -77,7 +76,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             exec_threads: 2,
-            runners: 2,
             quota: 8,
             max_queued_graphs: 16,
             max_queued_tasks: 250_000,
@@ -163,7 +161,7 @@ pub struct DrainSummary {
 pub(crate) struct ServerShared {
     pub cfg: ServerConfig,
     pub gate: Arc<Gate>,
-    pub pool: Arc<PoolShared>,
+    pub pool: Pool,
     pub counters: Arc<Counters>,
     /// Socket clones per live session, for drain-time shutdown.
     pub sessions: Mutex<HashMap<u64, TcpStream>>,
@@ -212,7 +210,6 @@ pub struct Server {
     outcomes: Arc<Mutex<Vec<GraphRecord>>>,
     local: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    pool: Pool,
 }
 
 impl Server {
@@ -228,20 +225,14 @@ impl Server {
             Arc::new(Gate::new(cfg.max_queued_graphs, cfg.max_queued_tasks, cfg.retry_after_ms));
         let counters = Arc::new(Counters::default());
         let outcomes = Arc::new(Mutex::new(Vec::new()));
-        let ctx = Arc::new(RunCtx {
-            gate: Arc::clone(&gate),
-            counters: Arc::clone(&counters),
-            outcomes: Arc::clone(&outcomes),
-            exec_threads: cfg.exec_threads.max(1),
-            payload: cfg.payload,
-            seed: cfg.seed,
-        });
-        let pool = Pool::start(cfg.runners, ctx);
+        let ctx =
+            Arc::new(RunCtx::new(Arc::clone(&gate), Arc::clone(&counters), Arc::clone(&outcomes)));
+        let pool = Pool::start(&cfg, ctx);
 
         let shared = Arc::new(ServerShared {
             cfg,
             gate,
-            pool: Arc::clone(&pool.shared),
+            pool,
             counters,
             sessions: Mutex::new(HashMap::new()),
             handles: Mutex::new(Vec::new()),
@@ -253,7 +244,7 @@ impl Server {
             .name("tss-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))?;
 
-        Ok(Server { shared, outcomes, local, accept: Some(accept), pool })
+        Ok(Server { shared, outcomes, local, accept: Some(accept) })
     }
 
     /// The bound address (port resolved when binding `:0`).
@@ -278,9 +269,8 @@ impl Server {
     /// 1. Admissions stop (the gate latched shut at request time).
     /// 2. The accept loop exits; no new sessions.
     /// 3. Admitted graphs get [`ServerConfig::drain_deadline`] to
-    ///    finish; past it, queued graphs are reported
-    ///    `Cancelled{0, tasks}` and running graphs are cancelled via
-    ///    their tokens.
+    ///    finish; past it, every running graph is cancelled via its
+    ///    token and reports the tasks it completed.
     /// 4. Every outcome is delivered (or its delivery failure
     ///    counted), *then* sessions are closed.
     pub fn wait(mut self) -> DrainSummary {
@@ -297,16 +287,15 @@ impl Server {
             let _ = h.join();
         }
 
-        self.pool.close();
-        let deadline_hit = !self.pool.wait_idle(self.shared.cfg.drain_deadline);
+        let pool = &self.shared.pool;
+        let deadline_hit = !pool.wait_idle(self.shared.cfg.drain_deadline);
         if deadline_hit {
-            self.pool.cancel_all();
-            // Cancellation latency is bounded (one watchdog tick plus
-            // one in-flight payload), so this second wait is a
-            // formality with a generous cap, not a second deadline.
-            let _ = self.pool.wait_idle(Duration::from_secs(60));
+            pool.cancel_all();
+            // Cancellation latency is bounded (one in-flight payload
+            // per worker), so this second wait is a formality with a
+            // generous cap, not a second deadline.
+            let _ = pool.wait_idle(Duration::from_secs(60));
         }
-        self.pool.join();
 
         // Done frames are all delivered (or accounted); now close.
         let streams: Vec<TcpStream> = {

@@ -1,49 +1,50 @@
-//! The executor pool (DESIGN.md §14.3): a fixed set of runner threads
-//! draining admitted graphs from a shared queue, each run wrapped in a
-//! fault boundary so one hostile graph can neither poison another nor
-//! take a runner down.
+//! The executor pool (DESIGN.md §14.3): one persistent `tss-exec`
+//! executor shared by every session. An admitted graph is submitted
+//! straight to it; its finalizer delivers the outcome. Each graph runs
+//! inside a fault boundary so one hostile graph can neither poison
+//! another nor take a thread down.
 //!
-//! Per-run containment, innermost to outermost:
+//! Per-graph containment, innermost to outermost:
 //!
 //! 1. The executor itself quarantines failed tasks
 //!    ([`FailurePolicy::Quarantine`], DESIGN.md §11) — a faulty graph
 //!    still *completes*, reporting its casualty counts.
-//! 2. The client's propagated deadline becomes the executor's
-//!    run-deadline watchdog, minus whatever the graph already burned
-//!    waiting in this queue.
-//! 3. Every run is armed with a [`CancelToken`] so drain
+//! 2. The client's propagated deadline becomes the graph's run
+//!    deadline, minus whatever the graph already burned before it was
+//!    submitted.
+//! 3. Every graph is armed with a [`CancelToken`] so drain
 //!    (DESIGN.md §14.4) can stop it after the drain deadline.
-//! 4. `catch_unwind` around the whole run: an executor-internal panic
-//!    (e.g. an oracle violation assert) becomes a structured
-//!    [`GraphOutcome::Failed`] instead of a dead runner.
+//! 4. The executor contains executor-internal panics per graph: they
+//!    come back as [`ExecError::WorkerPanic`], reported as
+//!    [`GraphOutcome::Failed`].
 //!
 //! Whatever happens, exactly one [`GraphRecord`] is appended and one
 //! `Done` frame is attempted per admitted graph — the no-silent-loss
 //! invariant the shutdown regression test pins.
 
-use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tss_exec::{CancelToken, ExecConfig, ExecError, Executor, FailurePolicy, PayloadMode};
+use tss_exec::{
+    CancelToken, ExecConfig, ExecError, ExecReport, Executor, FailurePolicy, GraphOptions,
+};
 use tss_proto::{Frame, GraphOutcome};
 use tss_trace::TaskTrace;
 
 use crate::gate::Gate;
 use crate::writer::SharedWriter;
-use crate::{Counters, GraphRecord};
+use crate::{Counters, GraphRecord, ServerConfig};
 
-/// One admitted graph, queued for execution.
+/// One admitted graph.
 pub(crate) struct Job {
     pub session: u64,
     pub graph: u64,
-    pub trace: TaskTrace,
+    pub trace: Arc<TaskTrace>,
     /// Client deadline in ms from admission (0 = none).
     pub deadline_ms: u32,
-    /// When the gate admitted the graph (queue wait burns deadline).
+    /// When the gate admitted the graph (time before submission burns
+    /// deadline).
     pub admitted: Instant,
     /// The owning session's writer, for `Done` delivery.
     pub writer: SharedWriter,
@@ -51,256 +52,163 @@ pub(crate) struct Job {
     pub inflight: Arc<AtomicU64>,
 }
 
-/// Everything a runner needs besides the queue; shared with the server.
+/// What a graph's finalizer needs to deliver its outcome.
 pub(crate) struct RunCtx {
     pub gate: Arc<Gate>,
     pub counters: Arc<Counters>,
     pub outcomes: Arc<Mutex<Vec<GraphRecord>>>,
-    pub exec_threads: usize,
-    pub payload: PayloadMode,
-    pub seed: u64,
-}
-
-struct PoolState {
-    queue: VecDeque<Job>,
-    /// Runners currently executing a job.
-    busy: usize,
-    /// Drain: runners exit once the queue is empty.
-    closed: bool,
-    /// Drain deadline fired: new pops are cancelled before they run.
-    cancel_all: bool,
-    /// Cancel tokens of in-flight runs, keyed by (session, graph).
-    active: Vec<(u64, u64, CancelToken)>,
-}
-
-/// Queue + coordination state; sessions hold an `Arc` to submit.
-pub(crate) struct PoolShared {
+    /// Graphs submitted and not yet delivered.
     state: Mutex<PoolState>,
-    /// Wakes runners (work arrived, or close/cancel).
-    work_cv: Condvar,
-    /// Wakes the drain waiter (a runner went idle or exited).
+    /// Wakes the drain waiter (the last running graph was delivered).
     idle_cv: Condvar,
 }
 
-impl PoolShared {
-    fn new() -> PoolShared {
-        PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                busy: 0,
-                closed: false,
-                cancel_all: false,
-                active: Vec::new(),
-            }),
-            work_cv: Condvar::new(),
+impl RunCtx {
+    pub(crate) fn new(
+        gate: Arc<Gate>,
+        counters: Arc<Counters>,
+        outcomes: Arc<Mutex<Vec<GraphRecord>>>,
+    ) -> RunCtx {
+        RunCtx {
+            gate,
+            counters,
+            outcomes,
+            state: Mutex::new(PoolState { cancel_all: false, active: Vec::new() }),
             idle_cv: Condvar::new(),
         }
     }
-
-    /// Enqueues an admitted graph. Callers hold a gate reservation;
-    /// the runner releases it after the outcome is recorded.
-    pub(crate) fn submit(&self, job: Job) {
-        let mut st = self.state.lock().expect("pool state poisoned");
-        st.queue.push_back(job);
-        drop(st);
-        self.work_cv.notify_one();
-    }
 }
 
-/// The runner threads plus their shared queue. Owned by the server;
-/// drained exactly once at shutdown.
+struct PoolState {
+    /// Drain deadline fired: new submissions start cancelled.
+    cancel_all: bool,
+    /// Cancel tokens of running graphs, keyed by (session, graph).
+    active: Vec<(u64, u64, CancelToken)>,
+}
+
+/// The shared executor plus the running-graph ledger. Owned by the
+/// server; sessions submit through it.
 pub(crate) struct Pool {
-    pub shared: Arc<PoolShared>,
+    exec: Executor,
+    /// Base seed; each graph runs with `seed ^ graph_id`.
+    seed: u64,
     ctx: Arc<RunCtx>,
-    runners: Vec<JoinHandle<()>>,
 }
 
 impl Pool {
-    pub(crate) fn start(runners: usize, ctx: Arc<RunCtx>) -> Pool {
-        let shared = Arc::new(PoolShared::new());
-        let handles = (0..runners.max(1))
-            .map(|i| {
-                let sh = Arc::clone(&shared);
-                let cx = Arc::clone(&ctx);
-                std::thread::Builder::new()
-                    .name(format!("tss-runner-{i}"))
-                    .spawn(move || runner_loop(sh, cx))
-                    .expect("spawn runner thread")
-            })
-            .collect();
-        Pool { shared, ctx, runners: handles }
+    pub(crate) fn start(cfg: &ServerConfig, ctx: Arc<RunCtx>) -> Pool {
+        let exec = Executor::new(ExecConfig {
+            threads: cfg.exec_threads.max(1),
+            payload: cfg.payload,
+            policy: FailurePolicy::Quarantine,
+            ..ExecConfig::default()
+        });
+        Pool { exec, seed: cfg.seed, ctx }
     }
 
-    /// Starts drain: no new jobs will be submitted (the gate already
-    /// refuses admissions); runners exit once the queue is empty.
-    pub(crate) fn close(&self) {
-        let mut st = self.shared.state.lock().expect("pool state poisoned");
-        st.closed = true;
-        drop(st);
-        self.shared.work_cv.notify_all();
+    /// Submits an admitted graph to the executor. Callers hold a gate
+    /// reservation; `deliver` releases it once the outcome is recorded.
+    pub(crate) fn submit(&self, job: Job) {
+        let total = job.trace.len() as u64;
+        let mut run_deadline = None;
+        if job.deadline_ms > 0 {
+            let budget = Duration::from_millis(u64::from(job.deadline_ms));
+            let waited = job.admitted.elapsed();
+            if waited >= budget {
+                // The deadline burned out before submission: report
+                // expiry without running a graph that would only
+                // confirm it.
+                let outcome = GraphOutcome::DeadlineExpired { completed: 0, tasks: total };
+                deliver(&job, outcome, &self.ctx);
+                return;
+            }
+            run_deadline = Some(budget - waited);
+        }
+        let cancel = CancelToken::new();
+        {
+            let mut st = self.ctx.state.lock().expect("pool state poisoned");
+            if st.cancel_all {
+                // Drain already escalated: the graph starts cancelled
+                // and reports `Cancelled{0, tasks}` without running.
+                cancel.cancel();
+            }
+            st.active.push((job.session, job.graph, cancel.clone()));
+        }
+        let opts = GraphOptions {
+            payload: self.exec.config().payload,
+            // Per-graph seed so a graph's schedule does not depend on
+            // what ran before it or beside it.
+            seed: self.seed ^ job.graph,
+            policy: FailurePolicy::Quarantine,
+            run_deadline,
+            cancel: Some(cancel),
+            ..GraphOptions::default()
+        };
+        let ctx = Arc::clone(&self.ctx);
+        let trace = Arc::clone(&job.trace);
+        self.exec.submit_with(trace, opts, move |result| {
+            deliver(&job, outcome_of(result, total), &ctx);
+        });
     }
 
-    /// Blocks until the queue is empty and no runner is busy, or the
+    /// Blocks until every submitted graph has been delivered, or the
     /// timeout passes. Returns `true` if the pool went idle.
     pub(crate) fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock().expect("pool state poisoned");
+        let mut st = self.ctx.state.lock().expect("pool state poisoned");
         loop {
-            if st.queue.is_empty() && st.busy == 0 {
+            if st.active.is_empty() {
                 return true;
             }
             let now = Instant::now();
             if now >= deadline {
                 return false;
             }
-            let (next, timed_out) =
-                self.shared.idle_cv.wait_timeout(st, deadline - now).expect("pool state poisoned");
+            let (next, _) =
+                self.ctx.idle_cv.wait_timeout(st, deadline - now).expect("pool state poisoned");
             st = next;
-            if timed_out.timed_out() && st.queue.is_empty() && st.busy == 0 {
-                return true;
-            }
         }
     }
 
-    /// Drain-deadline escalation (DESIGN.md §14.4): every queued job is
-    /// reported `Cancelled{0, tasks}` without running, and every
-    /// in-flight run's cancel token fires. Cancellation latency from
-    /// here is one watchdog tick plus one in-flight payload.
+    /// Drain-deadline escalation (DESIGN.md §14.4): every running
+    /// graph's cancel token fires, and graphs submitted from here on
+    /// start cancelled. A cancelled graph stops after the tasks its
+    /// workers are running; the rest of its tasks never start.
     pub(crate) fn cancel_all(&self) {
-        let (stranded, tokens) = {
-            let mut st = self.shared.state.lock().expect("pool state poisoned");
+        let tokens: Vec<CancelToken> = {
+            let mut st = self.ctx.state.lock().expect("pool state poisoned");
             st.cancel_all = true;
-            let stranded: Vec<Job> = st.queue.drain(..).collect();
-            let tokens: Vec<CancelToken> = st.active.iter().map(|(_, _, t)| t.clone()).collect();
-            (stranded, tokens)
+            st.active.iter().map(|(_, _, t)| t.clone()).collect()
         };
         for t in &tokens {
             t.cancel();
         }
-        for job in stranded {
-            let tasks = job.trace.len() as u64;
-            deliver(&job, GraphOutcome::Cancelled { completed: 0, tasks }, &self.ctx);
-        }
-        self.shared.work_cv.notify_all();
-        self.shared.idle_cv.notify_all();
-    }
-
-    /// Joins the runners. Call after `close` + `wait_idle`.
-    pub(crate) fn join(self) {
-        for h in self.runners {
-            // A panicked runner already had its job contained; losing
-            // the thread at join time is not worth tearing drain down.
-            let _ = h.join();
-        }
     }
 }
 
-fn runner_loop(shared: Arc<PoolShared>, ctx: Arc<RunCtx>) {
-    loop {
-        let job = {
-            let mut st = shared.state.lock().expect("pool state poisoned");
-            loop {
-                if let Some(j) = st.queue.pop_front() {
-                    st.busy += 1;
-                    break Some(j);
-                }
-                if st.closed {
-                    break None;
-                }
-                st = shared.work_cv.wait(st).expect("pool state poisoned");
-            }
-        };
-        let Some(job) = job else {
-            shared.idle_cv.notify_all();
-            return;
-        };
-
-        let cancel = CancelToken::new();
-        {
-            let mut st = shared.state.lock().expect("pool state poisoned");
-            if st.cancel_all {
-                // Drain already escalated; this run starts cancelled
-                // and aborts at the first watchdog tick.
-                cancel.cancel();
-            }
-            st.active.push((job.session, job.graph, cancel.clone()));
-        }
-
-        let outcome = run_job(&job, &cancel, &ctx);
-        deliver(&job, outcome, &ctx);
-
-        {
-            let mut st = shared.state.lock().expect("pool state poisoned");
-            st.active.retain(|(s, g, _)| !(*s == job.session && *g == job.graph));
-            st.busy -= 1;
-            if st.queue.is_empty() && st.busy == 0 {
-                shared.idle_cv.notify_all();
-            }
-        }
-    }
-}
-
-/// Runs one admitted graph inside the full containment stack and maps
-/// the result onto the wire outcome.
-fn run_job(job: &Job, cancel: &CancelToken, ctx: &RunCtx) -> GraphOutcome {
-    let total = job.trace.len() as u64;
-    let mut run_deadline = None;
-    if job.deadline_ms > 0 {
-        let budget = Duration::from_millis(u64::from(job.deadline_ms));
-        let waited = job.admitted.elapsed();
-        if waited >= budget {
-            // The deadline burned out in the queue: report expiry
-            // without spinning up an executor that would only confirm.
-            return GraphOutcome::DeadlineExpired { completed: 0, tasks: total };
-        }
-        run_deadline = Some(budget - waited);
-    }
-    let cfg = ExecConfig {
-        threads: ctx.exec_threads,
-        payload: ctx.payload,
-        // Per-graph seed so a graph's schedule does not depend on
-        // which runner picks it up or what ran before it.
-        seed: ctx.seed ^ job.graph,
-        policy: FailurePolicy::Quarantine,
-        run_deadline,
-        cancel: Some(cancel.clone()),
-        ..ExecConfig::default()
-    };
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| Executor::new(cfg).run(&job.trace)));
+/// Maps an executor verdict onto the wire outcome.
+fn outcome_of(result: Result<ExecReport, ExecError>, total: u64) -> GraphOutcome {
     match result {
-        Ok(Ok(report)) => GraphOutcome::Completed {
+        Ok(report) => GraphOutcome::Completed {
             tasks: total,
             failed: report.fault.failed.len() as u32,
             poisoned: report.fault.poisoned.len() as u32,
             exec_wall_us: report.exec_wall.as_micros() as u64,
         },
-        Ok(Err(ExecError::Cancelled { completed, tasks })) => {
+        Err(ExecError::Cancelled { completed, tasks }) => {
             GraphOutcome::Cancelled { completed: completed as u64, tasks: tasks as u64 }
         }
-        Ok(Err(ExecError::RunDeadline { completed, tasks, .. })) => {
+        Err(ExecError::RunDeadline { completed, tasks, .. }) => {
             GraphOutcome::DeadlineExpired { completed: completed as u64, tasks: tasks as u64 }
         }
-        Ok(Err(e)) => GraphOutcome::Failed { detail: e.to_string() },
-        Err(panic) => {
-            GraphOutcome::Failed { detail: format!("executor panicked: {}", panic_text(&*panic)) }
-        }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
+        Err(e) => GraphOutcome::Failed { detail: e.to_string() },
     }
 }
 
 /// The one exit path for an admitted graph: attempt `Done` delivery,
 /// record the outcome server-side, return the gate reservation and the
-/// session's quota slot. Runs for normal completions, drain
-/// cancellations, and stranded-queue cancellations alike.
+/// session's quota slot, and leave the running-graph ledger. Runs for
+/// executed, cancelled and expired graphs alike.
 fn deliver(job: &Job, outcome: GraphOutcome, ctx: &RunCtx) {
     // Release capacity *before* the client can observe the outcome:
     // a client that reacts to `Done` by submitting again must find
@@ -317,4 +225,9 @@ fn deliver(job: &Job, outcome: GraphOutcome, ctx: &RunCtx) {
         outcome,
         delivered,
     });
+    let mut st = ctx.state.lock().expect("pool state poisoned");
+    st.active.retain(|(s, g, _)| !(*s == job.session && *g == job.graph));
+    if st.active.is_empty() {
+        ctx.idle_cv.notify_all();
+    }
 }

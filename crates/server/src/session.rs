@@ -221,7 +221,7 @@ fn serve_frames(
                         shared.pool.submit(Job {
                             session: id,
                             graph,
-                            trace,
+                            trace: Arc::new(trace),
                             deadline_ms,
                             admitted: Instant::now(),
                             writer: writer.clone(),

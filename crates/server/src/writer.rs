@@ -1,6 +1,7 @@
 //! The shared frame writer: one per session, cloned into every job the
-//! session gets admitted, so runner threads can deliver `Done` frames
-//! while the session thread is blocked reading (DESIGN.md §14.2).
+//! session gets admitted, so graph finalizers on executor threads can
+//! deliver `Done` frames while the session thread is blocked reading
+//! (DESIGN.md §14.2).
 //!
 //! Sends are best-effort by design: a vanished client makes `send`
 //! return `false`, and the caller decides what that means (a session
@@ -15,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use tss_proto::{write_frame, Frame};
 
 /// Cloneable, mutex-serialized writer over one session's socket.
-/// Serialization matters: a `Done` from a runner and a `Reject` from
+/// Serialization matters: a `Done` from a finalizer and a `Reject` from
 /// the session thread must never interleave bytes.
 #[derive(Debug, Clone)]
 pub(crate) struct SharedWriter {

@@ -41,7 +41,6 @@ fn quota_rejects_the_excess_open_graph() {
 #[test]
 fn overload_sheds_with_a_retry_hint_and_recovers() {
     let cfg = ServerConfig {
-        runners: 1,
         exec_threads: 1,
         max_queued_graphs: 1,
         payload: PayloadMode::Spin { time_scale: 1.0 },
@@ -140,7 +139,6 @@ fn semantic_rejects_cost_one_graph_not_the_session() {
 #[test]
 fn client_deadline_propagates_into_the_run_watchdog() {
     let cfg = ServerConfig {
-        runners: 1,
         exec_threads: 1,
         payload: PayloadMode::Spin { time_scale: 1.0 },
         ..ServerConfig::default()

@@ -26,7 +26,6 @@ const TASKS: u32 = 40;
 fn chaos_round(exec_threads: usize) -> (Vec<(u64, u64, String)>, ServerTally) {
     let cfg = ServerConfig {
         exec_threads,
-        runners: 2,
         quota: 64,
         // Chaos proves isolation, not shedding: give admission enough
         // headroom that the outcome of every pair is plan-determined.

@@ -1,7 +1,7 @@
 //! Graceful-shutdown regression (ISSUE 10 satellite): after drain,
 //! every accepted graph has a terminal record and a delivered `Done` —
-//! no accepted graph silently vanishes, whether it finished, was
-//! stranded in the queue, or was cancelled mid-run.
+//! no accepted graph silently vanishes, whether it finished or was
+//! cancelled mid-run.
 
 mod common;
 
@@ -73,7 +73,6 @@ fn every_accepted_graph_is_reported_after_drain() {
 #[test]
 fn drain_deadline_cancels_stragglers_but_still_reports_them() {
     let cfg = ServerConfig {
-        runners: 1,
         exec_threads: 1,
         payload: PayloadMode::Spin { time_scale: 1.0 },
         drain_deadline: Duration::from_millis(50),
@@ -82,15 +81,15 @@ fn drain_deadline_cancels_stragglers_but_still_reports_them() {
     let h = Harness::start(cfg);
 
     let mut client = Client::connect(h.addr).expect("connect");
-    // Graph 1 runs (~64 x 20 ms of spin); graph 2 queues behind it.
+    // Two graphs of ~64 x 20 ms of spin share the executor's one worker.
     let long = small_trace("long", 64, ms_cycles(20));
     assert_eq!(client.submit(1, 0, &long, 16).expect("submit 1"), Submission::Accepted);
     assert_eq!(client.submit(2, 0, &long, 16).expect("submit 2"), Submission::Accepted);
 
     client.shutdown_server().expect("shutdown ack");
 
-    // Both graphs come back cancelled: one stopped mid-run by its
-    // token, one stranded in the queue with zero progress.
+    // Both graphs come back cancelled by their tokens, with whatever
+    // progress they made before the drain deadline.
     let mut outcomes =
         vec![client.wait_done(1).expect("done 1"), client.wait_done(2).expect("done 2")];
     outcomes.sort_by_key(|o| match o {
@@ -111,6 +110,6 @@ fn drain_deadline_cancels_stragglers_but_still_reports_them() {
     assert!(summary.drain_deadline_hit);
     assert_eq!(summary.accepted, 2);
     assert_eq!(summary.cancelled, 2);
-    assert_eq!(summary.outcomes.len(), 2, "stranded graphs are reported, not dropped");
+    assert_eq!(summary.outcomes.len(), 2, "cancelled graphs are reported, not dropped");
     assert_eq!(summary.undelivered_done, 0);
 }
